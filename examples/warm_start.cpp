@@ -2,7 +2,7 @@
 //
 // The storage-tuning-wizard deployment model runs view selection as a
 // *recurring service*: a nightly CI job, a sidecar re-tuning on workload
-// drift, a fleet of tuning nodes sharing work. All of those restart
+// drift, several tuning processes sharing one cache. All of those restart
 // processes — and a freshly started process has an empty in-memory cache,
 // so without persistence every restart pays the full search again.
 //
@@ -68,7 +68,7 @@ int main() {
           .string();
   std::filesystem::remove_all(cache_dir);  // demo starts genuinely cold
 
-  vsel::SelectorOptions options;
+  vsel::TuningConfig options;
   options.strategy = vsel::StrategyKind::kGstr;
   // Fixed weights: persisted costs must mean the same thing in every
   // process that reads the cache (see README "Persistent caches").

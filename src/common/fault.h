@@ -65,17 +65,13 @@ inline constexpr const char kDaemonAccept[] = "vseld.accept";
 inline constexpr const char kDaemonFrameRead[] = "vseld.frame.read";
 inline constexpr const char kDaemonFrameWrite[] = "vseld.frame.write";
 inline constexpr const char kDaemonSessionRun[] = "vseld.session.run";
-// Fleet worker (src/vseld/fleet.cc): a failing / throwing / hung remote
-// search must come back as a kPartitionResult error frame the coordinator
-// retries or re-queues, never a wedged or crashed worker process.
-inline constexpr const char kWorkerSearch[] = "vseld.worker.search";
 
 /// Every registered site, for chaos tests that sweep the full surface.
 inline constexpr const char* kAll[] = {
-    kDirCacheGetOpen,  kDirCacheGetRead, kDirCachePutWrite,
-    kDirCachePutRename, kSnapshotLoad,   kPartitionSearch,
-    kPoolTask,          kDaemonAccept,   kDaemonFrameRead,
-    kDaemonFrameWrite,  kDaemonSessionRun, kWorkerSearch,
+    kDirCacheGetOpen,   kDirCacheGetRead,  kDirCachePutWrite,
+    kDirCachePutRename, kSnapshotLoad,     kPartitionSearch,
+    kPoolTask,          kDaemonAccept,     kDaemonFrameRead,
+    kDaemonFrameWrite,  kDaemonSessionRun,
 };
 }  // namespace sites
 

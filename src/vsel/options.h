@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,10 +13,6 @@
 #include "common/stop_token.h"
 
 namespace rdfviews::vsel {
-
-namespace pipeline {
-class PartitionExecutor;  // vsel/pipeline/executor.h
-}  // namespace pipeline
 
 /// Search strategies: ours (Sec. 5) and the competitors of [21] (Sec. 6.1).
 enum class StrategyKind {
@@ -279,9 +274,8 @@ const char* EntailmentModeName(EntailmentMode mode);
 /// entailment handling, partitioning, session cache storage, failure
 /// containment, and observability — in a single validated aggregate. The
 /// same struct configures ViewSelector::Recommend, TuningSession, the
-/// pipeline stages, and (through serialize::SerializeTuningConfig, one wire
-/// form) both the vseld open-session and dispatch-partition verbs.
-/// `SelectorOptions` remains as a back-compat alias.
+/// pipeline stages, and (through serialize::SerializeTuningConfig, its
+/// wire form) the vseld open-session verb.
 struct TuningConfig {
   StrategyKind strategy = StrategyKind::kDfs;
   HeuristicOptions heuristics{.avf = true, .stop_var = true};
@@ -299,27 +293,17 @@ struct TuningConfig {
   RobustnessOptions robust;
   /// Observability: per-run span recording; see TelemetryOptions.
   TelemetryOptions telemetry;
-  /// Where stage 3 runs each dirty partition's search attempts: null (the
-  /// default) keeps the in-process pipeline::LocalExecutor; a
-  /// vseld::FleetExecutor dispatches attempts to registered remote workers.
-  /// Process-local like `limits.stop` / `limits.on_progress` — never
-  /// serialized, never part of the cache identity.
-  std::shared_ptr<pipeline::PartitionExecutor> executor;
 
   /// Rejects configurations no layer could honor, naming the offending
   /// field: negative budgets and backoffs, zero floors (retry attempts,
   /// LRU capacities — max_states stays 0 = unlimited), and conflicting
   /// cache / partition knob combinations. Every entry point that accepts a
   /// TuningConfig (TuningSession, pipeline::Run, ViewSelector::Recommend,
-  /// and the vseld open-session / dispatch-partition verbs) validates
+  /// and the vseld open-session verb) validates
   /// before doing any work, so a bad config fails fast with the same
   /// diagnostic everywhere instead of misbehaving mid-run.
   Status Validate() const;
 };
-
-/// Back-compat alias: nine PRs of call sites name the aggregate
-/// SelectorOptions; they migrate mechanically.
-using SelectorOptions = TuningConfig;
 
 /// Counters exposed by every strategy (the quantities of Figure 5).
 struct SearchStats {

@@ -24,19 +24,20 @@ namespace rdfviews::vsel::pipeline {
 
 namespace {
 
+/// True for a partition this run copied from the session cache instead of
+/// searching: it succeeded without a single attempt.
+bool CacheServed(const PartitionOutcome& o) {
+  return o.ok() && o.health.attempts == 0;
+}
+
 /// Merges the per-partition improvement traces into one workload-level
 /// trace: at every partition improvement instant, the merged best is the
-/// sum of each partition's best-so-far. `start_offsets[p]` translates
-/// partition p's search-relative timestamps onto the shared wall-clock
-/// axis: the cumulative predecessor time for back-to-back execution, 0 for
-/// the concurrent pool. The pooled offsets are exact only while the pool
-/// covers every partition; with fewer workers than partitions the later
-/// partitions' true starts depend on the scheduling order, which the merge
-/// stage can not reconstruct, so their events are placed at their
-/// search-relative lower bounds.
+/// sum of each partition's best-so-far. A searched partition's
+/// search-relative timestamps are shifted by its measured start
+/// (PartitionHealth::start_sec); a cache-served partition holds its best
+/// cost from t = 0 and adds no events.
 std::vector<std::pair<double, double>> MergeTraces(
-    const std::vector<PartitionOutcome>& results,
-    const std::vector<double>& start_offsets) {
+    const std::vector<PartitionOutcome>& results) {
   struct Event {
     double t;
     size_t p;
@@ -46,10 +47,14 @@ std::vector<std::pair<double, double>> MergeTraces(
   std::vector<double> current(results.size());
   for (size_t p = 0; p < results.size(); ++p) {
     if (!results[p].ok()) continue;  // failed: no S0, no events
+    const SearchStats& s = results[p].result.search.stats;
+    if (CacheServed(results[p])) {
+      current[p] = s.best_cost;
+      continue;
+    }
     current[p] = results[p].result.initial_cost;
-    for (const auto& [t, cost] :
-         results[p].result.search.stats.best_trace) {
-      events.push_back(Event{start_offsets[p] + t, p, cost});
+    for (const auto& [t, cost] : s.best_trace) {
+      events.push_back(Event{results[p].health.start_sec + t, p, cost});
     }
   }
   std::stable_sort(events.begin(), events.end(),
@@ -126,7 +131,7 @@ size_t MergeStates(const PartitionPlan& plan,
 Result<Recommendation> MergePartitions(
     const IngestResult& ingest, const PartitionPlan& plan,
     std::vector<PartitionOutcome> results, CostModel* cost_model,
-    const SelectorOptions& options, const PipelineReport* report) {
+    const TuningConfig& options, const PipelineReport* report) {
   RDFVIEWS_CHECK(plan.groups.size() == results.size() && !results.empty());
 
   size_t survivors = 0;
@@ -155,6 +160,11 @@ Result<Recommendation> MergePartitions(
     // rewritings untouched.
     rec.best_state = std::move(results[0].result.search.best);
     rec.stats = std::move(results[0].result.search.stats);
+    if (CacheServed(results[0])) {
+      // Not searched by this run: it spent no search time.
+      rec.stats.elapsed_sec = 0;
+      rec.stats.best_trace = {{0.0, rec.stats.best_cost}};
+    }
   } else {
     State merged;
     std::vector<engine::ExprPtr> rewritings(ingest.queries.size());
@@ -178,26 +188,14 @@ Result<Recommendation> MergePartitions(
       merged.SetRewritings(std::move(rewritings));
     }
 
-    // Did stage 3 run the partitions concurrently? (Mirrors its policy.)
-    const bool fanned_out = options.partition.parallel_partitions &&
-                            options.limits.num_threads > 1;
     SearchStats stats;
-    std::vector<double> start_offsets(results.size(), 0.0);
-    if (!fanned_out) {
-      // Back-to-back execution: partition p starts when p-1 finishes.
-      double cumulative = 0;
-      for (size_t p = 0; p < results.size(); ++p) {
-        start_offsets[p] = cumulative;
-        if (results[p].ok()) {
-          cumulative += results[p].result.search.stats.elapsed_sec;
-        }
-      }
-    }
-    stats.best_trace = MergeTraces(results, start_offsets);
-    double elapsed_max = 0;
-    double elapsed_sum = 0;
+    stats.best_trace = MergeTraces(results);
     bool completed = true;
     for (const PartitionOutcome& o : results) {
+      // Stage 3's measured wall time, dispatch to the last return. Failed
+      // partitions spent it too; cache-served ones (all zeros) did not.
+      stats.elapsed_sec = std::max(
+          stats.elapsed_sec, o.health.start_sec + o.health.wall_spent_sec);
       if (!o.ok()) continue;
       const SearchStats& s = o.result.search.stats;
       stats.created += s.created;
@@ -210,24 +208,10 @@ Result<Recommendation> MergePartitions(
       stats.time_exhausted = stats.time_exhausted || s.time_exhausted;
       stats.cancelled = stats.cancelled || s.cancelled;
       completed = completed && s.completed;
-      elapsed_max = std::max(elapsed_max, s.elapsed_sec);
-      elapsed_sum += s.elapsed_sec;
     }
     // A degraded run never reports a completed (exhaustive) tune: some
     // sub-workload was not searched at all.
     stats.completed = completed && !degraded;
-    // Wall-clock of stage 3: sum of the slices when the partitions ran
-    // back to back; under the pool, the critical-path estimate for the
-    // actual worker count (a pool smaller than the partition count runs
-    // ~pool_size slices concurrently, not all of them).
-    if (fanned_out) {
-      const size_t pool_size =
-          std::min(options.limits.num_threads, results.size());
-      stats.elapsed_sec = std::max(
-          elapsed_max, elapsed_sum / static_cast<double>(pool_size));
-    } else {
-      stats.elapsed_sec = elapsed_sum;
-    }
     // Ground truth for the merged state (identical to the sum of partition
     // bests unless the fold removed duplicates): the shared cost model
     // re-sums the interned per-view / per-rewriting terms.

@@ -32,7 +32,7 @@ namespace {
 /// The ingest stage's minimized vector, or a locally computed equivalent
 /// when the caller hand-built the IngestResult.
 const std::vector<std::shared_ptr<const MinimizedQuery>>& MinimizedOf(
-    const IngestResult& ingest, const SelectorOptions& options,
+    const IngestResult& ingest, const TuningConfig& options,
     std::vector<std::shared_ptr<const MinimizedQuery>>* local) {
   if (ingest.minimized.size() == ingest.queries.size()) {
     return ingest.minimized;
@@ -101,7 +101,7 @@ PartitionPlan SingleGroup(
 }  // namespace
 
 PartitionPlan PartitionWorkload(const IngestResult& ingest,
-                                const SelectorOptions& options) {
+                                const TuningConfig& options) {
   const size_t n = ingest.queries.size();
   std::vector<std::shared_ptr<const MinimizedQuery>> local;
   const std::vector<std::shared_ptr<const MinimizedQuery>>& minimized =

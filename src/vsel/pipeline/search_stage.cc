@@ -39,7 +39,6 @@
 #include "common/telemetry/metrics.h"
 #include "common/telemetry/trace.h"
 #include "common/thread_pool.h"
-#include "vsel/pipeline/executor.h"
 #include "vsel/pipeline/pipeline.h"
 #include "vsel/robust/retry.h"
 #include "vsel/robust/watchdog.h"
@@ -75,7 +74,7 @@ size_t EnumerationCostWeight(const State& s0) {
 /// IngestResult without the minimized vector minimizes locally.
 Result<State> MakePartitionInitialState(const IngestResult& ingest,
                                         const std::vector<size_t>& group,
-                                        const SelectorOptions& options) {
+                                        const TuningConfig& options) {
   const bool have_minimized =
       ingest.minimized.size() == ingest.queries.size();
   const bool pre_reformulate =
@@ -173,7 +172,7 @@ std::vector<SearchLimits> ApportionSearchLimits(
 
 Result<std::vector<PartitionOutcome>> SearchPartitions(
     const IngestResult& ingest, const PartitionPlan& plan,
-    CostModel* cost_model, const SelectorOptions& options,
+    CostModel* cost_model, const TuningConfig& options,
     const std::vector<PreseededOutcome>* preseeded,
     PipelineReport* report) {
   const size_t num_partitions = plan.groups.size();
@@ -307,22 +306,15 @@ Result<std::vector<PartitionOutcome>> SearchPartitions(
   const double deadline_sec = options.robust.partition_deadline_sec;
   robust::Watchdog watchdog;
 
-  // Where attempts physically run: the configured executor (the fleet
-  // path) or the in-process default. All retry/backoff/watchdog policy
-  // below is executor-agnostic — a remote worker dying mid-partition looks
-  // exactly like a failed local attempt and is re-queued the same way.
-  LocalExecutor local_executor;
-  PartitionExecutor* executor = options.executor != nullptr
-                                    ? options.executor.get()
-                                    : static_cast<PartitionExecutor*>(
-                                          &local_executor);
-
   TimeBudgetPool spare;
   std::atomic<double> regranted{0};
   // Captured on the submitting thread so pool tasks parent their spans
   // under the caller's pipeline.search span instead of losing the tree at
   // the thread boundary.
   const telemetry::TraceContext trace_ctx = telemetry::CurrentTraceContext();
+  // Every partition's start is stamped against this instant, so the merge
+  // stage reads the searches' true wall-clock span from the health records.
+  const auto dispatch_start = std::chrono::steady_clock::now();
   auto run_one = [&](size_t di) {
     const telemetry::ScopedTraceContext trace_scope(trace_ctx);
     const size_t p = dirty[di];
@@ -337,6 +329,9 @@ Result<std::vector<PartitionOutcome>> SearchPartitions(
     slot.health.partition = p;
     slot.health.queries = plan.groups[p].size();
     const auto partition_start = std::chrono::steady_clock::now();
+    slot.health.start_sec =
+        std::chrono::duration<double>(partition_start - dispatch_start)
+            .count();
     auto wall_spent = [&] {
       return std::chrono::duration<double>(
                  std::chrono::steady_clock::now() - partition_start)
@@ -392,15 +387,15 @@ Result<std::vector<PartitionOutcome>> SearchPartitions(
       Result<SearchResult> r =
           Status::Internal("partition search attempt did not run");
       try {
-        PartitionWorkUnit unit;
-        unit.partition = p;
-        unit.attempt = attempt;
-        // Tolerate hand-built plans without keys (key-less units are only
-        // a problem for executors that ship them, which reject them).
-        if (p < plan.group_keys.size()) unit.key = plan.group_keys[p];
-        unit.initial_state = &initial_states[p];
-        unit.group_size = plan.groups[p].size();
-        r = executor->ExecuteAttempt(unit, options, l, cost_model);
+        // The search.partition.run fault site fires inside the containment
+        // boundary, so chaos plans exercise the retry path below.
+        Status injected = fault::MaybeThrow(fault::sites::kPartitionSearch);
+        if (injected.ok()) {
+          r = RunSearch(options.strategy, initial_states[p], *cost_model,
+                        options.heuristics, l);
+        } else {
+          r = std::move(injected);
+        }
       } catch (const std::bad_alloc&) {
         r = Status::ResourceExhausted("partition search ran out of memory");
       } catch (const std::exception& e) {

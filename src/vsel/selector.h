@@ -21,8 +21,8 @@
 
 namespace rdfviews::vsel {
 
-// EntailmentMode and the unified TuningConfig aggregate (with its
-// back-compat alias SelectorOptions) live in vsel/options.h.
+// EntailmentMode and the unified TuningConfig aggregate live in
+// vsel/options.h.
 
 /// Per-partition health record of one pipeline run: how many attempts the
 /// partition took, what the last failure was, and whether it ended
@@ -39,7 +39,11 @@ struct PartitionHealth {
   /// Last failure observed (kOk when the partition never failed).
   StatusCode last_code = StatusCode::kOk;
   std::string last_error;
-  /// Wall seconds spent across all attempts, including backoff sleeps.
+  /// When the partition's search began, in seconds after stage 3 started
+  /// dispatching; 0 for a partition served from the session cache.
+  double start_sec = 0;
+  /// Wall seconds spent across all attempts, including backoff sleeps; 0
+  /// for a partition served from the session cache.
   double wall_spent_sec = 0;
   /// Exhausted its retry budget; its queries have null rewritings in the
   /// degraded Recommendation and the partition stays dirty in a session.
@@ -148,7 +152,7 @@ class ViewSelector {
   /// streaming through RecommendAsync.
   Result<Recommendation> Recommend(
       const std::vector<cq::ConjunctiveQuery>& workload,
-      const SelectorOptions& options) const;
+      const TuningConfig& options) const;
 
  private:
   const rdf::TripleStore* store_;

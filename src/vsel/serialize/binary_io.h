@@ -1,8 +1,8 @@
 // Endianness-stable binary encoding primitives for the persistence layer.
 //
 // Every multi-byte value is written byte-by-byte in little-endian order, so
-// files produced on any host decode identically on any other — the same
-// property a fleet of tuning nodes sharing a cache directory relies on.
+// files produced on any host decode identically on any other — the
+// property processes sharing a cache directory rely on.
 // Doubles travel as their IEEE-754 bit patterns (all hosts we target are
 // IEEE-754; the bit pattern round-trips NaNs and signed zeros exactly).
 //

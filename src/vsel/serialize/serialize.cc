@@ -374,7 +374,7 @@ void WriteBlobHeader(uint32_t magic, const CacheIdentity& identity,
 }  // namespace
 
 CacheIdentity ComputeCacheIdentity(const rdf::TripleStore& store,
-                                   const SelectorOptions& options) {
+                                   const TuningConfig& options) {
   CacheIdentity id;
   id.store_tag = rdf::SnapshotStoreTag(store);
   size_t seed = 0x52445643;  // "RDVC"

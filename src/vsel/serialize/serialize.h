@@ -5,8 +5,8 @@
 // item: a TuningSession's partition results are self-contained and keyed by
 // renaming-insensitive canonical workload keys, so once an outcome
 // round-trips through bytes, shipping (key, bytes) pairs to a shared cache
-// directory — or to a remote worker — lets a fleet of tuning nodes (or
-// successive CI runs) reuse each other's completed searches.
+// directory lets sibling processes (or successive CI runs) reuse each
+// other's completed searches.
 //
 // Format properties:
 //   - *Versioned.* Every top-level blob starts with a magic + format
@@ -78,7 +78,7 @@ struct CacheIdentity {
 
 /// Computes the identity for a (store, options) environment.
 CacheIdentity ComputeCacheIdentity(const rdf::TripleStore& store,
-                                   const SelectorOptions& options);
+                                   const TuningConfig& options);
 
 /// The identity as 16 raw little-endian bytes (store_tag and config_tag
 /// interleaved): the canonical salt sessions prepend to cache keys and
@@ -114,24 +114,15 @@ Result<SearchStats> DeserializeStats(ByteReader* r);
 /// The wire-transportable subset of TuningConfig: every deterministic
 /// scalar knob that shapes a search outcome (strategy, heuristics, limits,
 /// weights, calibration, entailment, partitioning, robustness, tracing).
-/// Process-local fields deliberately do NOT travel: the stop token, the
-/// progress callback and the partition executor (live objects), and the
-/// SessionCacheOptions block (a remote client must not dictate the
-/// server's storage paths or backend policy — the owner of the session
-/// picks those). This single wire form is what both the vseld open-session
-/// verb and the fleet dispatch-partition verb carry. Deserialization
+/// Process-local fields deliberately do NOT travel: the stop token and the
+/// progress callback (live objects), and the SessionCacheOptions block (a
+/// remote client must not dictate the server's storage paths or backend
+/// policy — the owner of the session picks those). This wire form is what
+/// the vseld open-session verb carries. Deserialization
 /// validates enum ranges, so a hostile frame cannot smuggle an
 /// out-of-range strategy or entailment mode into a switch.
 void SerializeTuningConfig(const TuningConfig& config, ByteWriter* w);
 Result<TuningConfig> DeserializeTuningConfig(ByteReader* r);
-
-/// Back-compat aliases from before the TuningConfig consolidation.
-inline void SerializeOptions(const SelectorOptions& options, ByteWriter* w) {
-  SerializeTuningConfig(options, w);
-}
-inline Result<SelectorOptions> DeserializeOptions(ByteReader* r) {
-  return DeserializeTuningConfig(r);
-}
 
 // ---- Top-level blobs -------------------------------------------------------
 

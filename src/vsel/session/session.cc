@@ -11,10 +11,29 @@
 #include "common/logging.h"
 #include "common/telemetry/metrics.h"
 #include "common/telemetry/trace.h"
-#include "vsel/pipeline/executor.h"
 #include "vsel/robust/retrying_cache_backend.h"
 
 namespace rdfviews::vsel {
+
+namespace {
+
+/// Validates and re-costs a cached partition outcome before it is spliced
+/// into this run. The bytes (if any) were structurally validated by the
+/// deserializer; this asserts the *semantics*: only completed searches are
+/// cached, the rewriting count matches the partition's member count (the
+/// merge stage requires exactly one rewriting per member), and re-costing
+/// the best state through the live model reproduces the persisted cost
+/// (registering every view in the run's interner along the way).
+bool RehydratePartitionOutcome(const pipeline::PartitionSearchResult& outcome,
+                               size_t group_size, const CostModel& model) {
+  if (!outcome.search.stats.completed) return false;
+  if (outcome.search.best.rewritings().size() != group_size) return false;
+  const double persisted = outcome.search.stats.best_cost;
+  const double live = model.StateCost(outcome.search.best);
+  return std::abs(live - persisted) <= 1e-9 * (1.0 + std::abs(persisted));
+}
+
+}  // namespace
 
 // ---- TuningHandle ----------------------------------------------------------
 
@@ -52,7 +71,7 @@ Result<Recommendation> TuningHandle::Wait() {
 
 TuningSession::TuningSession(
     const rdf::TripleStore* store, const rdf::Dictionary* dict,
-    const SelectorOptions& options, const rdf::Schema* schema,
+    const TuningConfig& options, const rdf::Schema* schema,
     std::shared_ptr<serialize::PartitionCacheBackend> cache_backend)
     : store_(store),
       dict_(dict),
@@ -206,7 +225,7 @@ Result<Recommendation> TuningSession::DoUpdate(
   // 2. Effective options for this update: freeze cm after the first
   // calibration, and splice in the async stop token / progress tracker
   // (both compose with whatever the caller put into options_.limits).
-  SelectorOptions opts = options_;
+  TuningConfig opts = options_;
   if (calibrated_) opts.auto_calibrate_cm = false;
   if (stop_override != nullptr) {
     opts.limits.stop = StopToken::Combine(options_.limits.stop,
@@ -287,9 +306,8 @@ Result<Recommendation> TuningSession::DoUpdate(
     // cost assertion can tell apart. (For this session's own entries the
     // check is nearly free: the state's memoized cost cache is valid.)
     if ((hit.needs_rehydration || options_.auto_calibrate_cm) &&
-        !pipeline::RehydratePartitionOutcome(&hit.result,
-                                             plan.groups[p].size(),
-                                             *cost_model_)) {
+        !RehydratePartitionOutcome(hit.result, plan.groups[p].size(),
+                                   *cost_model_)) {
       // Drop any decorator-tier copy of the poisoned entry first, so a
       // caching front (TieredCacheBackend) cannot keep serving it.
       (void)cache_backend_->Invalidate(cache_key_prefix_ +

@@ -50,32 +50,8 @@ Status Client::Ping() {
   return Status::OK();
 }
 
-Result<std::string> Client::CacheGet(
-    const std::string& key, const vsel::serialize::CacheIdentity& identity) {
-  Request req = NewRequest(Verb::kCacheGet, 0);
-  req.cache_key = key;
-  req.identity_store_tag = identity.store_tag;
-  req.identity_config_tag = identity.config_tag;
-  Result<Response> resp = RoundTrip(req);
-  if (!resp.ok()) return resp.status();
-  if (!resp->ok()) return resp->ToStatus();
-  return std::move(resp->blob);
-}
-
-Status Client::CachePut(const std::string& key, std::string blob,
-                        const vsel::serialize::CacheIdentity& identity) {
-  Request req = NewRequest(Verb::kCachePut, 0);
-  req.cache_key = key;
-  req.blob = std::move(blob);
-  req.identity_store_tag = identity.store_tag;
-  req.identity_config_tag = identity.config_tag;
-  Result<Response> resp = RoundTrip(req);
-  if (!resp.ok()) return resp.status();
-  return resp->ToStatus();
-}
-
 Result<uint64_t> Client::OpenSession(const std::string& store_tag,
-                                     const vsel::SelectorOptions& options) {
+                                     const vsel::TuningConfig& options) {
   Request req = NewRequest(Verb::kOpenSession, 0);
   req.store_tag = store_tag;
   req.options = options;

@@ -34,20 +34,11 @@ class Client {
   /// of surfacing later as a ParseError on a real verb.
   Status Ping();
 
-  /// Remote partition cache verbs (what RemoteCacheBackend speaks): the
-  /// daemon's shared per-identity cache, addressed by salted key. CacheGet
-  /// returns the sealed partition-outcome bytes or NotFound; CachePut
-  /// stores sealed bytes the daemon re-validates under `identity`.
-  Result<std::string> CacheGet(const std::string& key,
-                               const vsel::serialize::CacheIdentity& identity);
-  Status CachePut(const std::string& key, std::string blob,
-                  const vsel::serialize::CacheIdentity& identity);
-
   /// Opens a session over the daemon's store tagged `store_tag`; only the
-  /// wire subset of `options` travels (see serialize::SerializeOptions),
+  /// wire subset of `options` travels (see SerializeTuningConfig),
   /// and the daemon clamps the limits to the admission slice.
   Result<uint64_t> OpenSession(const std::string& store_tag,
-                               const vsel::SelectorOptions& options);
+                               const vsel::TuningConfig& options);
 
   /// Applies a workload delta (datalog texts / query names to drop).
   /// wait=true blocks until the update finishes and returns its final

@@ -30,12 +30,6 @@ const char* VerbName(Verb verb) {
     case Verb::kTelemetrySnapshot: return "telemetry_snapshot";
     case Verb::kCloseSession: return "close_session";
     case Verb::kShutdown: return "shutdown";
-    case Verb::kRegisterWorker: return "register_worker";
-    case Verb::kDispatchPartition: return "dispatch_partition";
-    case Verb::kPartitionResult: return "partition_result";
-    case Verb::kWorkerHeartbeat: return "worker_heartbeat";
-    case Verb::kCacheGet: return "cache_get";
-    case Verb::kCachePut: return "cache_put";
     case Verb::kResponse: return "response";
     case Verb::kProgressEvent: return "progress_event";
   }
@@ -97,7 +91,7 @@ Result<ByteReader> OpenPayload(std::string_view payload) {
 
 bool ValidVerb(uint8_t raw) {
   return (raw >= static_cast<uint8_t>(Verb::kPing) &&
-          raw <= static_cast<uint8_t>(Verb::kCachePut)) ||
+          raw <= static_cast<uint8_t>(Verb::kShutdown)) ||
          raw == static_cast<uint8_t>(Verb::kResponse) ||
          raw == static_cast<uint8_t>(Verb::kProgressEvent);
 }
@@ -161,7 +155,7 @@ std::string EncodeRequest(const Request& request) {
   w.Str(request.client_id);
   w.U64(request.session_id);
   w.Str(request.store_tag);
-  serialize::SerializeOptions(request.options, &w);
+  serialize::SerializeTuningConfig(request.options, &w);
   w.U64(request.add_queries.size());
   for (const std::string& q : request.add_queries) w.Str(q);
   w.U64(request.remove_queries.size());
@@ -169,13 +163,6 @@ std::string EncodeRequest(const Request& request) {
   w.U8(request.wait ? 1 : 0);
   w.U8(request.canonical ? 1 : 0);
   w.U8(static_cast<uint8_t>(request.telemetry_format));
-  w.U64(request.unit_id);
-  w.U8(static_cast<uint8_t>(request.result_code));
-  w.Str(request.result_message);
-  w.Str(request.cache_key);
-  w.Str(request.blob);
-  w.U64(request.identity_store_tag);
-  w.U64(request.identity_config_tag);
   return SealPayload(std::move(w));
 }
 
@@ -194,7 +181,7 @@ Result<Request> DecodeRequest(std::string_view payload) {
   req.client_id = r.Str();
   req.session_id = r.U64();
   req.store_tag = r.Str();
-  Result<vsel::SelectorOptions> options = serialize::DeserializeOptions(&r);
+  Result<vsel::TuningConfig> options = serialize::DeserializeTuningConfig(&r);
   if (!options.ok()) return options.status();
   req.options = std::move(*options);
   uint64_t n_add = r.Count(8);
@@ -212,17 +199,6 @@ Result<Request> DecodeRequest(std::string_view payload) {
     return Status::ParseError("bad telemetry format");
   }
   req.telemetry_format = static_cast<TelemetryFormat>(fmt);
-  req.unit_id = r.U64();
-  uint8_t result_code = r.U8();
-  if (result_code > static_cast<uint8_t>(StatusCode::kUnsupported)) {
-    return Status::ParseError("bad partition-result status code");
-  }
-  req.result_code = static_cast<StatusCode>(result_code);
-  req.result_message = r.Str();
-  req.cache_key = r.Str();
-  req.blob = r.Str();
-  req.identity_store_tag = r.U64();
-  req.identity_config_tag = r.U64();
   if (!r.AtEnd()) return Status::ParseError("malformed vseld request");
   return req;
 }

@@ -27,10 +27,11 @@
 // Queries travel as datalog text (cq::ParseDatalog syntax), parsed by the
 // daemon against the addressed store's dictionary: term ids are
 // store-local, so shipping them would bind the client to the server's
-// interning order. Options travel through serialize::SerializeOptions (the
-// deterministic scalar subset; stop tokens, callbacks and storage paths
-// never cross the wire). Recommendations travel as the serialize.h blob,
-// with the producing CacheIdentity alongside so the client can decode it.
+// interning order. Options travel through
+// serialize::SerializeTuningConfig (the deterministic scalar subset; stop
+// tokens, callbacks and storage paths never cross the wire).
+// Recommendations travel as the serialize.h blob, with the producing
+// CacheIdentity alongside so the client can decode it.
 #ifndef RDFVIEWS_VSELD_PROTOCOL_H_
 #define RDFVIEWS_VSELD_PROTOCOL_H_
 
@@ -48,13 +49,12 @@
 namespace rdfviews::vseld {
 
 inline constexpr uint32_t kFrameMagic = 0x444C5356;  // "VSLD"
-/// Version 2 added the fleet verbs (register-worker, dispatch-partition,
-/// partition-result, worker-heartbeat), the remote cache verbs, and the
-/// ping response's protocol_version echo. Both sides reject other
+/// Version 2 added the ping response's protocol_version echo; version 3
+/// retired verbs 11-16 and their request fields. Both sides reject other
 /// versions, and `ping` negotiates explicitly: the server answers with its
 /// version and Client::Ping fails fast on a mismatch instead of letting a
 /// later verb die with a confusing ParseError.
-inline constexpr uint32_t kProtocolVersion = 2;
+inline constexpr uint32_t kProtocolVersion = 3;
 /// Hard cap on one frame's payload; a length header beyond it is rejected
 /// before any allocation.
 inline constexpr uint32_t kMaxFramePayload = 64u << 20;
@@ -73,18 +73,8 @@ enum class Verb : uint8_t {
   kTelemetrySnapshot = 8,
   kCloseSession = 9,
   kShutdown = 10,
-  // Fleet verbs. A worker registers with kRegisterWorker; after the ack
-  // the same connection inverts into a dispatch stream: the daemon writes
-  // kDispatchPartition frames (encoded as Requests) and the worker answers
-  // with kPartitionResult / kWorkerHeartbeat frames.
-  kRegisterWorker = 11,
-  kDispatchPartition = 12,
-  kPartitionResult = 13,
-  kWorkerHeartbeat = 14,
-  // Remote partition cache: a worker reads/writes the daemon's shared
-  // per-identity cache through these instead of a local directory.
-  kCacheGet = 15,
-  kCachePut = 16,
+  // 11-16 belonged to retired verbs and stay unused, so a request
+  // carrying one decodes as an unknown verb.
   // Server → client:
   kResponse = 32,
   kProgressEvent = 33,
@@ -109,7 +99,8 @@ struct Request {
 
   // kOpenSession:
   std::string store_tag;
-  vsel::SelectorOptions options;  // wire subset; see serialize::SerializeOptions
+  /// Wire subset only; see serialize::SerializeTuningConfig.
+  vsel::TuningConfig options;
 
   // kUpdate:
   std::vector<std::string> add_queries;  // datalog texts
@@ -126,24 +117,6 @@ struct Request {
 
   // kTelemetrySnapshot:
   TelemetryFormat telemetry_format = TelemetryFormat::kJson;
-
-  // Fleet verbs. kDispatchPartition: `unit_id` names the work unit and
-  // `blob` carries the fleet work-unit encoding (canonical key, wire
-  // TuningConfig, start state, statistics snapshot, identity).
-  // kPartitionResult: the unit echoed back with either a serialized
-  // partition outcome in `blob` (result_code == kOk) or the worker-side
-  // failure in (result_code, result_message). kWorkerHeartbeat: liveness
-  // for the in-flight `unit_id`.
-  uint64_t unit_id = 0;
-  StatusCode result_code = StatusCode::kOk;
-  std::string result_message;
-
-  // kCacheGet / kCachePut: the salted cache key, the sealed entry bytes
-  // (put), and the identity the entry must decode under.
-  std::string cache_key;
-  std::string blob;
-  uint64_t identity_store_tag = 0;
-  uint64_t identity_config_tag = 0;
 };
 
 /// One decoded server frame: either the response to a request (kind

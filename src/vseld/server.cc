@@ -31,16 +31,14 @@ constexpr const char* kRejectReasons[] = {
 
 Daemon::Daemon(DaemonOptions options)
     : options_(std::move(options)),
-      admission_(options_.quota),
-      fleet_pool_(WorkerPool::Options{
-          .liveness_timeout_sec = options_.fleet_liveness_timeout_sec}) {
+      admission_(options_.quota) {
   auto* reg = telemetry::MetricsRegistry::Default();
   accepts_total_ = reg->GetCounter("vseld_accepts_total");
   accept_failures_total_ = reg->GetCounter("vseld_accept_failures_total");
   torn_reads_total_ = reg->GetCounter("vseld_torn_reads_total");
   first_byte_ns_ = reg->GetHistogram("vseld_accept_to_first_byte_ns");
   for (uint8_t v = static_cast<uint8_t>(Verb::kPing);
-       v <= static_cast<uint8_t>(Verb::kCachePut); ++v) {
+       v <= static_cast<uint8_t>(Verb::kShutdown); ++v) {
     frames_by_verb_[v] = reg->GetCounter(
         "vseld_frames_total",
         std::string("verb=\"") + VerbName(static_cast<Verb>(v)) + "\"");
@@ -129,16 +127,14 @@ void Daemon::AcceptLoop() {
 
 void Daemon::HandleConnection(
     int fd, std::chrono::steady_clock::time_point accepted_at) {
-  // Heap-allocated so a kRegisterWorker connection can be handed off to
-  // the fleet pool, outliving this handler.
-  auto transport = std::make_unique<FrameTransport>(fd);
+  FrameTransport transport(fd);
   {
     std::lock_guard<std::mutex> lock(transports_mu_);
-    transports_[fd] = transport.get();
+    transports_[fd] = &transport;
   }
   bool first = true;
   while (!stopping_.load(std::memory_order_relaxed)) {
-    Result<std::string> payload = transport->ReadFrame();
+    Result<std::string> payload = transport.ReadFrame();
     if (!payload.ok()) {
       // NotFound = clean close between frames; anything else is the torn
       // mid-frame / injected-fault case — counted, contained, done.
@@ -161,44 +157,21 @@ void Daemon::HandleConnection(
       // connection (the stream offers no way to resynchronize).
       CountRejected("parse");
       Response resp = ErrorResponse(req.status(), nullptr);
-      (void)transport->WriteFrame(EncodeResponse(resp));
+      (void)transport.WriteFrame(EncodeResponse(resp));
       break;
     }
     auto verb_counter = frames_by_verb_.find(static_cast<uint8_t>(req->verb));
     if (verb_counter != frames_by_verb_.end()) verb_counter->second->Add();
     if (req->verb == Verb::kSubscribeProgress) {
-      HandleSubscribe(*req, transport.get());
-      if (transport->failed()) break;
+      HandleSubscribe(*req, &transport);
+      if (transport.failed()) break;
       continue;
-    }
-    if (req->verb == Verb::kRegisterWorker) {
-      Response resp;
-      resp.request_id = req->request_id;
-      if (!options_.enable_fleet) {
-        resp = ErrorResponse(Status::Unsupported("fleet mode disabled"),
-                             "bad_request");
-        resp.request_id = req->request_id;
-        (void)transport->WriteFrame(EncodeResponse(resp));
-        break;
-      }
-      if (!transport->WriteFrame(EncodeResponse(resp)).ok()) break;
-      // Acked: the connection inverts into a dispatch stream owned by the
-      // pool (its reader thread takes over; this handler is done). The
-      // pool's shutdown path owns unblocking it from now on.
-      {
-        std::lock_guard<std::mutex> lock(transports_mu_);
-        transports_.erase(fd);
-      }
-      fleet_pool_.AddWorker(std::move(transport),
-                            req->client_id.empty() ? "worker"
-                                                   : req->client_id);
-      return;
     }
     bool close_connection = false;
     Response resp = Dispatch(*req, &close_connection);
     resp.request_id = req->request_id;
     if (resp.session_id == 0) resp.session_id = req->session_id;
-    if (!transport->WriteFrame(EncodeResponse(resp)).ok()) break;
+    if (!transport.WriteFrame(EncodeResponse(resp)).ok()) break;
     if (close_connection) break;
   }
   {
@@ -219,10 +192,6 @@ Response Daemon::Dispatch(const Request& req, bool* close_connection) {
     }
     case Verb::kOpenSession:
       return HandleOpenSession(req);
-    case Verb::kCacheGet:
-      return HandleCacheGet(req);
-    case Verb::kCachePut:
-      return HandleCachePut(req);
     case Verb::kUpdate:
       return HandleUpdate(req);
     case Verb::kPoll:
@@ -276,7 +245,7 @@ Response Daemon::HandleOpenSession(const Request& req) {
     return ErrorResponse(std::move(admitted), reason);
   }
 
-  vsel::SelectorOptions opts = req.options;
+  vsel::TuningConfig opts = req.options;
   opts.limits = admission_.ClampLimits(opts.limits);
   auto events = std::make_shared<EventQueue>();
   // The fan-out installed at construction: TuningSession chains it with
@@ -287,11 +256,6 @@ Response Daemon::HandleOpenSession(const Request& req) {
   };
   serialize::CacheIdentity identity =
       serialize::ComputeCacheIdentity(*store->store, opts);
-  if (options_.enable_fleet) {
-    // Dirty-partition search attempts go to registered workers; while none
-    // are registered the executor transparently runs them in-process.
-    opts.executor = std::make_shared<FleetExecutor>(&fleet_pool_, identity);
-  }
   auto session = std::make_unique<vsel::TuningSession>(
       store->store, store->dict, opts, store->schema, BackendFor(identity));
   std::shared_ptr<DaemonSession> entry =
@@ -300,49 +264,6 @@ Response Daemon::HandleOpenSession(const Request& req) {
   Response resp;
   resp.session_id = entry->id;
   return resp;
-}
-
-Response Daemon::HandleCacheGet(const Request& req) {
-  serialize::CacheIdentity identity{req.identity_store_tag,
-                                    req.identity_config_tag};
-  auto backend = BackendFor(identity);
-  if (backend == nullptr) {
-    return ErrorResponse(
-        Status::Unsupported("daemon has no shared cache (cache_dir unset)"),
-        "bad_request");
-  }
-  serialize::PartitionCacheBackend::Fetched fetched;
-  Status st = backend->Get(req.cache_key, &fetched);
-  if (!st.ok()) return ErrorResponse(std::move(st), nullptr);
-  Response resp;
-  // Re-seal the decoded outcome: the client gets exactly the validated,
-  // identity-tagged form it would read from a shared directory.
-  resp.blob = serialize::SerializePartitionOutcome(req.cache_key,
-                                                   fetched.result, identity);
-  resp.store_tag = identity.store_tag;
-  resp.config_tag = identity.config_tag;
-  return resp;
-}
-
-Response Daemon::HandleCachePut(const Request& req) {
-  serialize::CacheIdentity identity{req.identity_store_tag,
-                                    req.identity_config_tag};
-  auto backend = BackendFor(identity);
-  if (backend == nullptr) {
-    return ErrorResponse(
-        Status::Unsupported("daemon has no shared cache (cache_dir unset)"),
-        "bad_request");
-  }
-  // Hostile-input hardening: never store bytes we did not validate. The
-  // blob must decode under the claimed identity with the claimed key
-  // embedded, or the put is rejected.
-  auto outcome = serialize::DeserializePartitionOutcome(req.blob,
-                                                        req.cache_key,
-                                                        identity);
-  if (!outcome.ok()) return ErrorResponse(outcome.status(), "bad_request");
-  Status st = backend->Put(req.cache_key, *outcome);
-  if (!st.ok()) return ErrorResponse(std::move(st), nullptr);
-  return Response{};
 }
 
 Result<std::shared_ptr<DaemonSession>> Daemon::FindSession(
@@ -664,10 +585,6 @@ void Daemon::Stop() {
     std::lock_guard<std::mutex> lock(transports_mu_);
     for (auto& [fd, transport] : transports_) transport->ShutdownBoth();
   }
-
-  // 3b. Sever the fleet's worker connections and join their readers (any
-  // dispatch still in flight fails over to the cancelled-update path).
-  fleet_pool_.Shutdown();
 
   // 4. Join the handler pool (destructor drains the queue and joins).
   pool_.reset();

@@ -41,7 +41,6 @@
 #include "rdf/schema.h"
 #include "rdf/triple_store.h"
 #include "vsel/serialize/partition_cache.h"
-#include "vseld/fleet.h"
 #include "vseld/protocol.h"
 #include "vseld/quota.h"
 #include "vseld/registry.h"
@@ -65,14 +64,6 @@ struct DaemonOptions {
   /// Tick of the subscribe-progress streaming loop (how often a quiet
   /// stream re-checks for update completion / drain).
   double subscribe_tick_sec = 0.05;
-  /// Fleet mode: accept kRegisterWorker connections and give every session
-  /// a FleetExecutor that dispatches dirty-partition search attempts to
-  /// the registered workers (falling back to in-process search while none
-  /// are registered). Off: worker registration is rejected.
-  bool enable_fleet = false;
-  /// Liveness deadline for an in-flight fleet unit (see
-  /// WorkerPool::Options::liveness_timeout_sec).
-  double fleet_liveness_timeout_sec = 5.0;
 };
 
 class Daemon {
@@ -106,9 +97,6 @@ class Daemon {
   const SessionRegistry& registry() const { return registry_; }
   AdmissionController& admission() { return admission_; }
   const DaemonOptions& options() const { return options_; }
-  /// The registered-worker pool (always constructed; only populated in
-  /// fleet mode). Exposed for the stress harness's gates.
-  WorkerPool& fleet_pool() { return fleet_pool_; }
 
   /// Sessions the drain reaped and torn (mid-frame) connection reads, for
   /// the stress harness's gates.
@@ -129,8 +117,6 @@ class Daemon {
   Response Dispatch(const Request& req, bool* close_connection);
 
   Response HandleOpenSession(const Request& req);
-  Response HandleCacheGet(const Request& req);
-  Response HandleCachePut(const Request& req);
   Response HandleUpdate(const Request& req);
   Response HandlePoll(const Request& req);
   Response HandleFetch(const Request& req);
@@ -153,7 +139,6 @@ class Daemon {
 
   const DaemonOptions options_;
   AdmissionController admission_;
-  WorkerPool fleet_pool_;
   SessionRegistry registry_;
   std::map<std::string, std::unique_ptr<StoreEntry>> stores_;
 

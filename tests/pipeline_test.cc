@@ -144,7 +144,7 @@ IngestResult IngestOf(std::vector<cq::ConjunctiveQuery> queries) {
 TEST(PartitionTest, SplitsConstantDisjointFamilies) {
   rdf::Dictionary dict;
   IngestResult ing = IngestOf(DisjointWorkload(&dict));
-  SelectorOptions options;
+  TuningConfig options;
   PartitionPlan plan = PartitionWorkload(ing, options);
   EXPECT_TRUE(plan.fallback_reason.empty());
   ASSERT_EQ(plan.num_partitions(), 3u);
@@ -161,7 +161,7 @@ TEST(PartitionTest, SharedConstantConnects) {
       MustParse("q2(X) :- t(X, a:p1, Y), t(Y, b:p1, a:c2)", &dict),
       MustParse("q3(X) :- t(X, b:p1, b:c1)", &dict),
   });
-  PartitionPlan plan = PartitionWorkload(ing, SelectorOptions{});
+  PartitionPlan plan = PartitionWorkload(ing, TuningConfig{});
   ASSERT_EQ(plan.num_partitions(), 1u);
   EXPECT_TRUE(plan.fallback_reason.empty());
 }
@@ -169,7 +169,7 @@ TEST(PartitionTest, SharedConstantConnects) {
 TEST(PartitionTest, FallsBackWhenStopVarDisabled) {
   rdf::Dictionary dict;
   IngestResult ing = IngestOf(DisjointWorkload(&dict));
-  SelectorOptions options;
+  TuningConfig options;
   options.heuristics.stop_var = false;
   PartitionPlan plan = PartitionWorkload(ing, options);
   EXPECT_EQ(plan.num_partitions(), 1u);
@@ -183,7 +183,7 @@ TEST(PartitionTest, FallsBackOnConstantFreeQuery) {
   // split is no longer provably exact.
   queries.push_back(MustParse("q6(X, Y) :- t(X, P, Y)", &dict));
   PartitionPlan plan =
-      PartitionWorkload(IngestOf(std::move(queries)), SelectorOptions{});
+      PartitionWorkload(IngestOf(std::move(queries)), TuningConfig{});
   EXPECT_EQ(plan.num_partitions(), 1u);
   EXPECT_FALSE(plan.fallback_reason.empty());
 }
@@ -191,10 +191,10 @@ TEST(PartitionTest, FallsBackOnConstantFreeQuery) {
 TEST(PartitionTest, FallsBackWhenDisabledOrCompetitor) {
   rdf::Dictionary dict;
   IngestResult ing = IngestOf(DisjointWorkload(&dict));
-  SelectorOptions disabled;
+  TuningConfig disabled;
   disabled.partition.enabled = false;
   EXPECT_EQ(PartitionWorkload(ing, disabled).num_partitions(), 1u);
-  SelectorOptions competitor;
+  TuningConfig competitor;
   competitor.strategy = StrategyKind::kPruning21;
   EXPECT_EQ(PartitionWorkload(ing, competitor).num_partitions(), 1u);
 }
@@ -202,7 +202,7 @@ TEST(PartitionTest, FallsBackWhenDisabledOrCompetitor) {
 TEST(PartitionTest, MaxPartitionsPacksComponents) {
   rdf::Dictionary dict;
   IngestResult ing = IngestOf(DisjointWorkload(&dict));
-  SelectorOptions options;
+  TuningConfig options;
   options.partition.max_partitions = 2;
   PartitionPlan plan = PartitionWorkload(ing, options);
   ASSERT_EQ(plan.num_partitions(), 2u);
@@ -238,7 +238,7 @@ struct PipelineFixtureData {
 /// Runs the pipeline on the shared fixture; `partitioned` toggles stage 2.
 Recommendation RunPipeline(PipelineFixtureData* fx, StrategyKind strategy,
                            size_t num_threads, bool partitioned) {
-  SelectorOptions options;
+  TuningConfig options;
   options.strategy = strategy;
   options.limits.num_threads = num_threads;
   options.partition.enabled = partitioned;
@@ -356,7 +356,7 @@ TEST(PipelineParallelTest, GroupedGeneratorWorkloadDecomposes) {
   rdf::TripleStore store =
       workload::GenerateStoreForWorkload(queries, &dict, 4000, 11);
 
-  SelectorOptions options;
+  TuningConfig options;
   options.limits.time_budget_sec = 1.0;
   options.limits.num_threads = 8;
   Result<Recommendation> rec =
@@ -382,7 +382,7 @@ TEST(PipelineTest, MergeFoldsCrossPartitionDuplicateViews) {
   rdf::TripleStore store =
       workload::GenerateStoreForWorkload(queries, &dict, 500, 3);
 
-  SelectorOptions options;
+  TuningConfig options;
   Result<IngestResult> ingest =
       Ingest(&store, &dict, nullptr, queries, options);
   ASSERT_TRUE(ingest.ok());

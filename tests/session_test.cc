@@ -58,9 +58,9 @@ struct SessionFixture {
   /// runs cost states under bit-identical weights (the session freezes cm
   /// after its first update; a scratch run over a different workload would
   /// calibrate differently).
-  SelectorOptions Options(StrategyKind strategy,
-                          size_t num_threads = 1) const {
-    SelectorOptions options;
+  TuningConfig Options(StrategyKind strategy,
+                       size_t num_threads = 1) const {
+    TuningConfig options;
     options.strategy = strategy;
     options.limits.num_threads = num_threads;
     options.auto_calibrate_cm = false;
@@ -68,7 +68,7 @@ struct SessionFixture {
   }
 
   Recommendation Scratch(const std::vector<cq::ConjunctiveQuery>& workload,
-                         const SelectorOptions& options) const {
+                         const TuningConfig& options) const {
     ViewSelector selector(&store, &dict);
     Result<Recommendation> rec = selector.Recommend(workload, options);
     EXPECT_TRUE(rec.ok()) << rec.status().ToString();
@@ -93,7 +93,7 @@ class SessionEquivalenceTest : public ::testing::TestWithParam<StrategyKind> {
 
 TEST_P(SessionEquivalenceTest, FirstUpdateMatchesOneShotRecommend) {
   SessionFixture fx;
-  SelectorOptions options = fx.Options(GetParam());
+  TuningConfig options = fx.Options(GetParam());
   TuningSession session(&fx.store, &fx.dict, options);
   Result<Recommendation> rec = session.Update(fx.initial);
   ASSERT_TRUE(rec.ok()) << rec.status().ToString();
@@ -106,7 +106,7 @@ TEST_P(SessionEquivalenceTest, FirstUpdateMatchesOneShotRecommend) {
 
 TEST_P(SessionEquivalenceTest, IncrementalAddMatchesScratch) {
   SessionFixture fx;
-  SelectorOptions options = fx.Options(GetParam());
+  TuningConfig options = fx.Options(GetParam());
   TuningSession session(&fx.store, &fx.dict, options);
   ASSERT_TRUE(session.Update(fx.initial).ok());
 
@@ -127,7 +127,7 @@ TEST_P(SessionEquivalenceTest, IncrementalAddMatchesScratch) {
 
 TEST_P(SessionEquivalenceTest, RemoveThenReaddServesFromCache) {
   SessionFixture fx;
-  SelectorOptions options = fx.Options(GetParam());
+  TuningConfig options = fx.Options(GetParam());
   TuningSession session(&fx.store, &fx.dict, options);
   Result<Recommendation> rec0 = session.Update(fx.initial);
   ASSERT_TRUE(rec0.ok()) << rec0.status().ToString();
@@ -155,7 +155,7 @@ TEST_P(SessionEquivalenceTest, RemoveThenReaddServesFromCache) {
 
 TEST_P(SessionEquivalenceTest, RecommendationAnswersGroundTruth) {
   SessionFixture fx;
-  SelectorOptions options = fx.Options(GetParam());
+  TuningConfig options = fx.Options(GetParam());
   TuningSession session(&fx.store, &fx.dict, options);
   ASSERT_TRUE(session.Update(fx.initial).ok());
   Result<Recommendation> rec = session.Update(fx.delta);
@@ -239,7 +239,7 @@ TEST_P(SessionCancelTest, PreStoppedTokenBoundsExpansions) {
 
   StopSource stop;
   stop.RequestStop();
-  SelectorOptions options;
+  TuningConfig options;
   options.strategy = GetParam();
   options.limits.stop = stop.token();
 
@@ -281,7 +281,7 @@ TEST_P(SessionParallelCancelTest, CancelMidFlightReturnsCurrentBest) {
   rdf::TripleStore store =
       workload::GenerateStoreForWorkload(workload, &dict, 2000, 7);
 
-  SelectorOptions options;
+  TuningConfig options;
   options.strategy = strategy;
   options.limits.num_threads = num_threads;
   std::atomic<uint64_t> events{0};
@@ -334,7 +334,7 @@ TEST(SessionParallelCompetitorCancelTest, CancelStopsCompetitorSearch) {
   rdf::TripleStore store =
       workload::GenerateStoreForWorkload(workload, &dict, 2000, 7);
 
-  SelectorOptions options;
+  TuningConfig options;
   options.strategy = StrategyKind::kPruning21;
   TuningSession session(&store, &dict, options);
   std::shared_ptr<TuningHandle> handle = session.UpdateAsync(workload);
@@ -348,7 +348,7 @@ TEST(SessionParallelCompetitorCancelTest, CancelStopsCompetitorSearch) {
 
 TEST(SessionTest, CancelledPartitionsStayDirtyAndRecover) {
   SessionFixture fx;
-  SelectorOptions options = fx.Options(StrategyKind::kDfs);
+  TuningConfig options = fx.Options(StrategyKind::kDfs);
   StopSource stop;
   stop.RequestStop();
   options.limits.stop = stop.token();
@@ -376,7 +376,7 @@ TEST(SessionTest, CancelledPartitionsStayDirtyAndRecover) {
 
 TEST(SessionParallelAsyncTest, AsyncMatchesSyncAndReportsProgress) {
   SessionFixture fx;
-  SelectorOptions options = fx.Options(StrategyKind::kDfs, 8);
+  TuningConfig options = fx.Options(StrategyKind::kDfs, 8);
   TuningSession session(&fx.store, &fx.dict, options);
   std::shared_ptr<TuningHandle> handle = session.UpdateAsync(fx.initial);
   Result<Recommendation> rec = handle->Wait();
@@ -402,7 +402,7 @@ TEST(SessionParallelAsyncTest, CallerTokenComposesWithHandleToken) {
   rdf::TripleStore store =
       workload::GenerateStoreForWorkload(workload, &dict, 2000, 7);
   StopSource caller_stop;
-  SelectorOptions options;
+  TuningConfig options;
   options.strategy = StrategyKind::kExNaive;
   options.limits.stop = caller_stop.token();
 
@@ -423,7 +423,7 @@ TEST(SessionParallelAsyncTest, DroppingHandleMidRunCancelsAndJoins) {
   std::vector<cq::ConjunctiveQuery> workload = HugeSpaceWorkload(&dict);
   rdf::TripleStore store =
       workload::GenerateStoreForWorkload(workload, &dict, 2000, 7);
-  SelectorOptions options;
+  TuningConfig options;
   options.strategy = StrategyKind::kExNaive;
   options.limits.num_threads = 8;
   // Budget only so the follow-up Recommend below terminates; the drop
@@ -448,7 +448,7 @@ TEST(SessionParallelAsyncTest, SecondUpdateWhileInFlightIsRejected) {
   std::vector<cq::ConjunctiveQuery> workload = HugeSpaceWorkload(&dict);
   rdf::TripleStore store =
       workload::GenerateStoreForWorkload(workload, &dict, 2000, 7);
-  SelectorOptions options;
+  TuningConfig options;
   options.strategy = StrategyKind::kExNaive;
 
   TuningSession session(&store, &dict, options);
@@ -492,7 +492,7 @@ struct RetryEventLog {
 
 TEST(SessionRetryEventsTest, RecoveryEmitsFailedRetryDoneInOrder) {
   SessionFixture fx;
-  SelectorOptions options = fx.Options(StrategyKind::kDfs);  // serial
+  TuningConfig options = fx.Options(StrategyKind::kDfs);  // serial
   options.robust.retry.max_attempts = 3;
   options.robust.retry.initial_backoff_sec = 0.001;
   options.robust.retry.max_backoff_sec = 0.002;
@@ -534,7 +534,7 @@ TEST(SessionRetryEventsTest, RecoveryEmitsFailedRetryDoneInOrder) {
 
 TEST(SessionRetryEventsTest, AbandonmentEventsAndAsyncProgressCounters) {
   SessionFixture fx;
-  SelectorOptions options = fx.Options(StrategyKind::kDfs);
+  TuningConfig options = fx.Options(StrategyKind::kDfs);
   options.robust.retry.max_attempts = 2;
   options.robust.retry.initial_backoff_sec = 0.001;
   options.robust.retry.max_backoff_sec = 0.002;
@@ -582,7 +582,7 @@ TEST(SessionRetryEventsTest, AbandonmentEventsAndAsyncProgressCounters) {
 
 TEST(SessionTest, EarlyFinishersRegrantTimeBudget) {
   SessionFixture fx;
-  SelectorOptions options = fx.Options(StrategyKind::kGstr);
+  TuningConfig options = fx.Options(StrategyKind::kGstr);
   // A generous budget the tiny partitions exhaust their spaces well
   // within: the early finishers' leftover flows to the later partitions.
   options.limits.time_budget_sec = 5.0;
@@ -592,6 +592,65 @@ TEST(SessionTest, EarlyFinishersRegrantTimeBudget) {
   ASSERT_GT(rec->pipeline.num_partitions, 1u);
   EXPECT_TRUE(rec->stats.completed);
   EXPECT_GT(rec->pipeline.budget_regranted_sec, 0.0);
+}
+
+// ---- Reported search time ------------------------------------------------
+
+TEST(SessionElapsedTest, ReusedPartitionsAddNoSearchTime) {
+  // Four constant-disjoint families whose exhaustive searches take real
+  // time, then a delta opening a fifth, one-atom family: the update
+  // searches that partition alone and serves the other four from the
+  // cache. Its elapsed_sec is stage 3's measured wall time, so it can not
+  // exceed the caller's wall time of Update; adding the reused partitions'
+  // original search times would. The bound is one-sided, so it holds at
+  // any machine speed.
+  rdf::Dictionary dict;
+  workload::WorkloadSpec spec;
+  spec.num_queries = 8;
+  spec.atoms_per_query = 3;
+  spec.commonality = workload::Commonality::kHigh;
+  spec.partition_groups = 4;
+  spec.seed = 17;
+  std::vector<cq::ConjunctiveQuery> initial =
+      workload::GenerateWorkload(spec, &dict);
+  std::vector<cq::ConjunctiveQuery> delta = {
+      MustParse("d1(X) :- t(X, d:p1, d:c1)", &dict)};
+  std::vector<cq::ConjunctiveQuery> all = initial;
+  all.insert(all.end(), delta.begin(), delta.end());
+  rdf::TripleStore store =
+      workload::GenerateStoreForWorkload(all, &dict, 3000, 17);
+
+  TuningConfig options;
+  options.auto_calibrate_cm = false;
+  TuningSession session(&store, &dict, options);
+  Result<Recommendation> first = session.Update(initial);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(first->stats.completed);  // every partition is cacheable
+
+  const auto start = std::chrono::steady_clock::now();
+  Result<Recommendation> rec = session.Update(delta);
+  const double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+  EXPECT_EQ(rec->pipeline.partitions_searched, 1u);
+  EXPECT_GE(rec->pipeline.partitions_reused, 1u);
+  EXPECT_LE(rec->stats.elapsed_sec, wall);
+
+  // Dropping the delta searches nothing: no search time at all.
+  Result<Recommendation> dropped = session.Update({}, {"d1"});
+  ASSERT_TRUE(dropped.ok()) << dropped.status().ToString();
+  EXPECT_EQ(dropped->pipeline.partitions_searched, 0u);
+  EXPECT_EQ(dropped->stats.elapsed_sec, 0.0);
+
+  // The same holds for a single partition served whole from the cache.
+  TuningSession single(&store, &dict, options);
+  ASSERT_TRUE(single.Update(delta).ok());
+  Result<Recommendation> again = single.Recommend();
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again->pipeline.num_partitions, 1u);
+  EXPECT_EQ(again->pipeline.partitions_searched, 0u);
+  EXPECT_EQ(again->stats.elapsed_sec, 0.0);
 }
 
 }  // namespace

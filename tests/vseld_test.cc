@@ -2,11 +2,13 @@
 // hostile-input hardening (truncations, byte flips, oversized length
 // headers, mid-frame disconnects), admission control, the bounded
 // progress-event queue, and the daemon end to end over real AF_UNIX
-// sockets — including fault injection through the vseld.* sites and a
+// sockets — including fault injection through the vseld.* sites, ping's
+// protocol-version negotiation against an impostor daemon, and a
 // TSan-targeted concurrent-clients suite (VseldParallel*).
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -135,6 +137,19 @@ TEST(VseldProtocolTest, ProgressEventFrameRoundTrips) {
   EXPECT_EQ(back->event.partitions_total, resp.event.partitions_total);
   EXPECT_EQ(back->event.attempt, resp.event.attempt);
   EXPECT_EQ(back->events_dropped, resp.events_dropped);
+}
+
+TEST(VseldProtocolTest, RetiredVerbsDecodeFailCleanly) {
+  // Verbs 11-16 (protocol v2's worker and remote-cache verbs) are gone: a
+  // request carrying one is an unknown verb, rejected as a ParseError.
+  for (uint8_t raw = 11; raw <= 16; ++raw) {
+    Request req = SampleRequest();
+    req.verb = static_cast<Verb>(raw);
+    Result<Request> back = DecodeRequest(EncodeRequest(req));
+    ASSERT_FALSE(back.ok()) << "retired verb " << int(raw) << " decoded";
+    EXPECT_EQ(back.status().code(), StatusCode::kParseError)
+        << back.status().ToString();
+  }
 }
 
 // ---- Fuzz-style rejection: no hostile payload may decode ------------------
@@ -279,6 +294,75 @@ TEST(VseldTransportTest, InjectedWriteFaultLatches) {
   // Still latched after disarm: the transport, not the plan, holds state.
   EXPECT_FALSE(writer.WriteFrame("still doomed").ok());
   (void)reader;
+}
+
+// ---- Client protocol negotiation ------------------------------------------
+
+/// A minimal one-shot daemon impostor: accepts one connection, answers the
+/// first request with a Response carrying an arbitrary protocol version.
+class VersionedImpostor {
+ public:
+  explicit VersionedImpostor(uint32_t version) {
+    path_ = (fs::path(::testing::TempDir()) /
+             ("impostor_" + std::to_string(::getpid()) + "_" +
+              std::to_string(version) + ".sock"))
+                .string();
+    fs::remove(path_);
+    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    EXPECT_GE(listen_fd_, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path_.c_str(), sizeof(addr.sun_path) - 1);
+    EXPECT_EQ(::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+                     sizeof(addr)),
+              0);
+    EXPECT_EQ(::listen(listen_fd_, 1), 0);
+    server_ = std::thread([this, version] {
+      int fd = ::accept(listen_fd_, nullptr, nullptr);
+      if (fd < 0) return;
+      FrameTransport transport(fd);
+      Result<std::string> frame = transport.ReadFrame();
+      if (!frame.ok()) return;
+      Result<Request> req = DecodeRequest(*frame);
+      if (!req.ok()) return;
+      Response resp;
+      resp.request_id = req->request_id;
+      resp.protocol_version = version;
+      (void)transport.WriteFrame(EncodeResponse(resp));
+      transport.ShutdownBoth();
+      ::close(fd);
+    });
+  }
+
+  ~VersionedImpostor() {
+    server_.join();
+    ::close(listen_fd_);
+    fs::remove(path_);
+  }
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+  int listen_fd_ = -1;
+  std::thread server_;
+};
+
+TEST(VseldClientNegotiationTest, PingRejectsVersionMismatch) {
+  VersionedImpostor impostor(kProtocolVersion + 7);
+  Result<Client> client = Client::Connect(impostor.path(), "negotiator");
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  Status st = client->Ping();
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kUnsupported) << st.ToString();
+  EXPECT_NE(st.message().find("version mismatch"), std::string::npos);
+}
+
+TEST(VseldClientNegotiationTest, PingAcceptsMatchingVersion) {
+  VersionedImpostor impostor(kProtocolVersion);
+  Result<Client> client = Client::Connect(impostor.path(), "negotiator");
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  EXPECT_TRUE(client->Ping().ok());
 }
 
 // ---- Admission control ----------------------------------------------------
@@ -454,7 +538,7 @@ TEST_F(VseldDaemonTest, FullSessionLifecycleOverSocket) {
   Client client = MustConnect("tenant");
   EXPECT_TRUE(client.Ping().ok());
 
-  vsel::SelectorOptions options;
+  vsel::TuningConfig options;
   options.auto_calibrate_cm = false;
   Result<uint64_t> session = client.OpenSession("default", options);
   ASSERT_TRUE(session.ok()) << session.status().ToString();
@@ -512,7 +596,7 @@ TEST_F(VseldDaemonTest, TelemetryBothFormats) {
 
 TEST_F(VseldDaemonTest, RejectsUnknownStoreSessionAndEmptyClient) {
   Client client = MustConnect("tenant");
-  vsel::SelectorOptions options;
+  vsel::TuningConfig options;
   Result<uint64_t> bad_store = client.OpenSession("nope", options);
   EXPECT_EQ(bad_store.status().code(), StatusCode::kNotFound);
   Result<vsel::TuningProgress> bad_session = client.Poll(4242);
@@ -524,7 +608,7 @@ TEST_F(VseldDaemonTest, RejectsUnknownStoreSessionAndEmptyClient) {
 
 TEST_F(VseldDaemonTest, QuotaRejectionOverTheWire) {
   Client client = MustConnect("bounded");
-  vsel::SelectorOptions options;
+  vsel::TuningConfig options;
   std::vector<uint64_t> ids;
   for (size_t i = 0; i < 4; ++i) {
     Result<uint64_t> sid = client.OpenSession("default", options);
@@ -539,7 +623,7 @@ TEST_F(VseldDaemonTest, QuotaRejectionOverTheWire) {
 
 TEST_F(VseldDaemonTest, SubscribeStreamsEventsThenTerminal) {
   Client control = MustConnect("tenant");
-  vsel::SelectorOptions options;
+  vsel::TuningConfig options;
   options.auto_calibrate_cm = false;
   Result<uint64_t> session = control.OpenSession("default", options);
   ASSERT_TRUE(session.ok());
@@ -568,7 +652,7 @@ TEST_F(VseldDaemonTest, SubscribeStreamsEventsThenTerminal) {
 
 TEST_F(VseldDaemonTest, CancelReturnsPromptlyWithValidBest) {
   Client client = MustConnect("tenant");
-  vsel::SelectorOptions options;
+  vsel::TuningConfig options;
   options.auto_calibrate_cm = false;
   options.limits.max_states = 50000000;  // would search a very long time
   Result<uint64_t> session = client.OpenSession("default", options);
@@ -591,7 +675,7 @@ TEST_F(VseldDaemonTest, CancelReturnsPromptlyWithValidBest) {
 
 TEST_F(VseldDaemonTest, ShutdownVerbWakesOwnerAndDrainReapsSessions) {
   Client client = MustConnect("tenant");
-  vsel::SelectorOptions options;
+  vsel::TuningConfig options;
   Result<uint64_t> session = client.OpenSession("default", options);
   ASSERT_TRUE(session.ok());
   EXPECT_FALSE(daemon_->WaitShutdownRequested(0));
@@ -605,7 +689,7 @@ TEST_F(VseldDaemonTest, ShutdownVerbWakesOwnerAndDrainReapsSessions) {
 }
 
 TEST_F(VseldDaemonTest, SessionSurvivesReconnect) {
-  vsel::SelectorOptions options;
+  vsel::TuningConfig options;
   options.auto_calibrate_cm = false;
   uint64_t session_id = 0;
   {
@@ -628,7 +712,7 @@ TEST_F(VseldDaemonTest, SessionSurvivesReconnect) {
 
 TEST_F(VseldDaemonTest, InjectedSessionRunFaultIsContained) {
   Client client = MustConnect("tenant");
-  vsel::SelectorOptions options;
+  vsel::TuningConfig options;
   options.auto_calibrate_cm = false;
   Result<uint64_t> session = client.OpenSession("default", options);
   ASSERT_TRUE(session.ok());
@@ -705,7 +789,7 @@ TEST(VseldParallelTest, ConcurrentClientsFullLifecycle) {
         Result<Client> c =
             Client::Connect(socket_path, "worker-" + std::to_string(w % 3));
         if (!c.ok()) return;
-        vsel::SelectorOptions opt;
+        vsel::TuningConfig opt;
         opt.auto_calibrate_cm = false;
         Result<uint64_t> sid = c->OpenSession("default", opt);
         if (!sid.ok()) return;
@@ -753,7 +837,7 @@ TEST(VseldParallelTest, StopWithInflightUpdatesNeverHangs) {
 
   Result<Client> c = Client::Connect(socket_path, "drainee");
   ASSERT_TRUE(c.ok());
-  vsel::SelectorOptions opt;
+  vsel::TuningConfig opt;
   opt.auto_calibrate_cm = false;
   opt.limits.max_states = 50000000;  // far beyond the drain's patience
   Result<uint64_t> sid = c->OpenSession("default", opt);

@@ -91,9 +91,6 @@ int main(int argc, char** argv) {
       static_cast<size_t>(flags.GetInt("aggregate-max-states", 0));
   options.quota.aggregate_time_budget_sec =
       flags.GetDouble("aggregate-time-budget-sec", 0);
-  options.enable_fleet = flags.GetInt("fleet", 0) != 0;
-  options.fleet_liveness_timeout_sec =
-      flags.GetDouble("fleet-liveness-sec", 5.0);
 
   vseld::Daemon daemon(options);
   daemon.RegisterStore(store_tag, &store, &dict);
