@@ -1,5 +1,6 @@
 #include "vsel/parallel/parallel_context.h"
 
+#include "common/logging.h"
 #include "vsel/search.h"
 #include "vsel/search_internal.h"
 
@@ -57,7 +58,7 @@ ParallelSearchContext::ParallelSearchContext(const CostModel* cost_model,
 }
 
 void ParallelSearchContext::Init(const State& s0) {
-  internal::ArmStopConditions(s0, &stop_var_active_, &stop_tt_active_);
+  armed_stop_ = internal::ArmStopConditions(s0, heur);
 
   // Every pattern a search state can count is a relaxation of an S0 atom
   // (SC replaces constants by variables; VB/JC/VF only redistribute atoms).
@@ -112,21 +113,23 @@ bool ParallelSearchContext::OutOfBudget() {
 }
 
 std::optional<ParallelSearchContext::Admitted> ParallelSearchContext::Admit(
-    State s, int phase, SearchStats* stats, Arena* arena) {
+    const State& parent, const Transition& t, int phase, SearchStats* stats,
+    Arena* arena) {
   ++stats->created;
   ++stats->transitions_applied;
-  if (heur.avf) {
-    size_t steps = 0;
-    s = AvfClosure(s, topts, &steps, arena);
-    stats->created += steps;
-    stats->discarded += steps;
-  }
-  if (internal::StateViolatesStopConditions(s, heur, stop_var_active_,
-                                            stop_tt_active_)) {
+  std::optional<State> s = TryApplyTransition(parent, t, armed_stop_, arena);
+  if (!s.has_value()) {
     ++stats->discarded;
     return std::nullopt;
   }
-  switch (seen.AdmitAtPhase(s.fingerprint(), phase)) {
+  if (heur.avf) {
+    size_t steps = 0;
+    *s = AvfClosure(*s, topts, &steps, arena);
+    stats->created += steps;
+    stats->discarded += steps;
+    RDFVIEWS_DCHECK(!armed_stop_.Rejects(*s));
+  }
+  switch (seen.AdmitAtPhase(s->fingerprint(), phase)) {
     case ConcurrentSeenSet::Outcome::kRejected:
       ++stats->duplicates;
       return std::nullopt;
@@ -138,15 +141,15 @@ std::optional<ParallelSearchContext::Admitted> ParallelSearchContext::Admit(
     case ConcurrentSeenSet::Outcome::kInserted:
       break;
   }
-  double c = cost->StateCost(s);
-  if (best.Offer(s, c, deadline.ElapsedSeconds()) && limits.on_progress) {
+  double c = cost->StateCost(*s);
+  if (best.Offer(*s, c, deadline.ElapsedSeconds()) && limits.on_progress) {
     ProgressEvent ev;
     ev.kind = ProgressEvent::Kind::kBestImproved;
     ev.best_cost = c;
     ev.elapsed_sec = deadline.ElapsedSeconds();
     limits.on_progress(ev);
   }
-  return Admitted{std::move(s), c};
+  return Admitted{std::move(*s), c};
 }
 
 void ParallelSearchContext::MergeWorkerStats(const SearchStats& local) {

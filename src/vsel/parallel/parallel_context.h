@@ -89,12 +89,15 @@ class ParallelSearchContext {
     double cost;
   };
 
-  /// The serial Admit against the shared structures: AVF closure, stop
-  /// conditions, concurrent duplicate detection with stratum re-opening,
-  /// and best tracking. Counter traffic goes to the worker-local `stats`;
-  /// `arena` (optional) backs the flat storage of any closure states — pass
-  /// the calling worker's arena, never one shared across workers.
-  std::optional<Admitted> Admit(State s, int phase, SearchStats* stats,
+  /// The serial Admit against the shared structures: the stop test on the
+  /// new views of `t` before the successor of `parent` is built, AVF
+  /// closure, concurrent duplicate detection with stratum re-opening, and
+  /// best tracking. Counter traffic goes to the worker-local `stats`;
+  /// `arena` (optional) backs the flat storage of the successor and its
+  /// closure states — pass the calling worker's arena, never one shared
+  /// across workers.
+  std::optional<Admitted> Admit(const State& parent, const Transition& t,
+                                int phase, SearchStats* stats,
                                 Arena* arena = nullptr);
 
   /// Merges a worker's local counters into the run totals (call once per
@@ -115,8 +118,7 @@ class ParallelSearchContext {
   State start;
 
  private:
-  bool stop_var_active_ = true;
-  bool stop_tt_active_ = true;
+  StopConditions armed_stop_;  // armed by Init against S0
   std::atomic<bool> stop_{false};
   std::atomic<bool> time_exhausted_{false};
   std::atomic<bool> memory_exhausted_{false};

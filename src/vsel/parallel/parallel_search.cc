@@ -75,6 +75,8 @@ void ProcessExEntry(ParallelSearchContext* ctx,
                     ShardedFrontier<ExEntry>* frontier, bool stratified,
                     ExEntry entry, SearchStats* local, Arena* arena) {
   if (!entry.loaded) {
+    // Past the budget, an entry is dropped before it pays an enumeration.
+    if (ctx->OutOfBudget()) return;
     entry.loaded = true;
     // One batched sweep fills the entry's buffer in kind-major order,
     // identical to the per-kind concatenation it replaces.
@@ -87,9 +89,7 @@ void ProcessExEntry(ParallelSearchContext* ctx,
     if (ctx->OutOfBudget()) return;  // anytime truncation: drop the entry
     const Transition& t = entry.transitions[entry.next++];
     int phase = stratified ? static_cast<int>(t.kind) : 0;
-    auto admitted =
-        ctx->Admit(ApplyTransition(entry.state, t, arena), phase, local,
-                   arena);
+    auto admitted = ctx->Admit(entry.state, t, phase, local, arena);
     if (admitted.has_value()) {
       frontier->Push(
           ShardHint(admitted->state.fingerprint()),
@@ -200,9 +200,10 @@ void DfsVisitDeep(ParallelSearchContext* ctx,
       DonationCounter()->Add(1);
       const size_t child_vb =
           vb_depth + (kind == static_cast<int>(TransitionKind::kVB));
-      auto admitted = ctx->Admit(
-          ApplyTransition(s, buf[i], arena),
-          internal::DfsDedupRank(ctx->limits, kind, child_vb), local, arena);
+      auto admitted =
+          ctx->Admit(s, buf[i], internal::DfsDedupRank(ctx->limits, kind,
+                                                        child_vb),
+                     local, arena);
       if (admitted.has_value()) {
         DfsVisitDeep(ctx, frontier, pool, arena, admitted->state, kind,
                      child_vb, depth + 1, local);
@@ -211,9 +212,10 @@ void DfsVisitDeep(ParallelSearchContext* ctx,
     }
     const size_t child_vb =
         vb_depth + (kind == static_cast<int>(TransitionKind::kVB));
-    auto admitted = ctx->Admit(
-        ApplyTransition(s, buf[i], arena),
-        internal::DfsDedupRank(ctx->limits, kind, child_vb), local, arena);
+    auto admitted =
+        ctx->Admit(s, buf[i], internal::DfsDedupRank(ctx->limits, kind,
+                                                      child_vb),
+                   local, arena);
     if (admitted.has_value()) {
       DfsVisitDeep(ctx, frontier, pool, arena, admitted->state, kind,
                    child_vb, depth + 1, local);
@@ -247,7 +249,7 @@ void ProcessDfsTask(ParallelSearchContext* ctx,
           task.vb_depth +
           (task.kind == static_cast<int>(TransitionKind::kVB));
       auto admitted = ctx->Admit(
-          ApplyTransition(base, task.ts[i], arena),
+          base, task.ts[i],
           internal::DfsDedupRank(ctx->limits, task.kind, child_vb), local,
           arena);
       if (admitted.has_value()) {
@@ -259,7 +261,7 @@ void ProcessDfsTask(ParallelSearchContext* ctx,
     const size_t child_vb =
         task.vb_depth + (task.kind == static_cast<int>(TransitionKind::kVB));
     auto admitted = ctx->Admit(
-        ApplyTransition(base, task.ts[i], arena),
+        base, task.ts[i],
         internal::DfsDedupRank(ctx->limits, task.kind, child_vb), local,
         arena);
     if (admitted.has_value()) {
@@ -358,9 +360,7 @@ SearchResult RunParallelGstr(ParallelSearchContext* ctx, const State& s0,
                                      ctx->topts, &buf);
             for (const Transition& t : buf) {
               if (ctx->OutOfBudget()) break;
-              auto admitted =
-                  ctx->Admit(ApplyTransition(s, t, &arena), kind, &local,
-                             &arena);
+              auto admitted = ctx->Admit(s, t, kind, &local, &arena);
               if (!admitted.has_value()) continue;
               {
                 std::lock_guard<std::mutex> lock(best_mu);

@@ -67,11 +67,14 @@ class ShardedFrontier {
   /// Pops up to `max_batch` items, preferring the shard `home & mask`.
   /// Blocks until items arrive, the frontier quiesces, or `cancelled`
   /// returns true; returns the number of items appended to `out` (0 means
-  /// "done"). The caller must invoke TaskDone() once per popped item after
+  /// "done"). Cancellation is checked before any item is handed out, so a
+  /// cancelled search stops draining a frontier that still holds work.
+  /// The caller must invoke TaskDone() once per popped item after
   /// processing it (including any Pushes its processing performs).
   size_t PopBatch(size_t home, size_t max_batch, std::vector<T>* out,
                   const std::function<bool()>& cancelled) {
     for (;;) {
+      if (cancelled()) return 0;
       for (size_t i = 0; i <= mask_; ++i) {
         Shard& sh = shards_[(home + i) & mask_];
         std::lock_guard<std::mutex> lock(sh.mu);
@@ -91,7 +94,6 @@ class ShardedFrontier {
         }
       }
       if (pending_.load(std::memory_order_acquire) == 0) return 0;
-      if (cancelled()) return 0;
       // Nothing visible but work is in flight: its processor may push more.
       // Sleep briefly; Push wakes us early, the timeout re-checks
       // cancellation (budget exhaustion is latched by processing workers).

@@ -30,6 +30,15 @@ bool CacheServed(const PartitionOutcome& o) {
   return o.ok() && o.health.attempts == 0;
 }
 
+/// Zeroes the work counters of a search this run did not perform.
+void ClearSearchWork(SearchStats* s) {
+  s->created = 0;
+  s->duplicates = 0;
+  s->discarded = 0;
+  s->explored = 0;
+  s->transitions_applied = 0;
+}
+
 /// Merges the per-partition improvement traces into one workload-level
 /// trace: at every partition improvement instant, the merged best is the
 /// sum of each partition's best-so-far. A searched partition's
@@ -161,7 +170,9 @@ Result<Recommendation> MergePartitions(
     rec.best_state = std::move(results[0].result.search.best);
     rec.stats = std::move(results[0].result.search.stats);
     if (CacheServed(results[0])) {
-      // Not searched by this run: it spent no search time.
+      // Not searched by this run: it spent no search time and did no
+      // search work.
+      ClearSearchWork(&rec.stats);
       rec.stats.elapsed_sec = 0;
       rec.stats.best_trace = {{0.0, rec.stats.best_cost}};
     }
@@ -198,11 +209,14 @@ Result<Recommendation> MergePartitions(
           stats.elapsed_sec, o.health.start_sec + o.health.wall_spent_sec);
       if (!o.ok()) continue;
       const SearchStats& s = o.result.search.stats;
-      stats.created += s.created;
-      stats.duplicates += s.duplicates;
-      stats.discarded += s.discarded;
-      stats.explored += s.explored;
-      stats.transitions_applied += s.transitions_applied;
+      if (!CacheServed(o)) {
+        // Work counters cover what this run searched, like elapsed_sec.
+        stats.created += s.created;
+        stats.duplicates += s.duplicates;
+        stats.discarded += s.discarded;
+        stats.explored += s.explored;
+        stats.transitions_applied += s.transitions_applied;
+      }
       stats.initial_cost += s.initial_cost;
       stats.memory_exhausted = stats.memory_exhausted || s.memory_exhausted;
       stats.time_exhausted = stats.time_exhausted || s.time_exhausted;

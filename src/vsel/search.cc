@@ -30,13 +30,8 @@ SearchContext::SearchContext(const CostModel* cost_model,
   topts.graph_cache = &cost_model->interner();
 }
 
-bool SearchContext::ViolatesStopConditions(const State& s) const {
-  return StateViolatesStopConditions(s, heur, stop_var_active,
-                                     stop_tt_active);
-}
-
 void SearchContext::Init(const State& s0) {
-  ArmStopConditions(s0, &stop_var_active, &stop_tt_active);
+  armed_stop = ArmStopConditions(s0, heur);
   best = s0;
   best_cost = cost->StateCost(s0);
   stats.initial_cost = best_cost;
@@ -92,34 +87,39 @@ bool SearchContext::OutOfBudget() {
   return false;
 }
 
-std::optional<SearchContext::Admitted> SearchContext::Admit(State s,
-                                                            int phase) {
+std::optional<SearchContext::Admitted> SearchContext::Admit(
+    const State& parent, const Transition& t, int phase) {
   ++stats.created;
   ++stats.transitions_applied;
-  if (heur.avf) {
-    size_t steps = 0;
-    s = AvfClosure(s, topts, &steps, &arena);
-    stats.created += steps;
-    stats.discarded += steps;
-  }
-  if (ViolatesStopConditions(s)) {
+  // The stop test runs first, on the new views only (exact: `parent`
+  // passed it), and ahead of AVF (exact: VF keeps every body up to
+  // isomorphism, and the test reads bodies only).
+  std::optional<State> s = TryApplyTransition(parent, t, armed_stop, &arena);
+  if (!s.has_value()) {
     ++stats.discarded;
     return std::nullopt;
   }
-  auto [it, inserted] = seen.try_emplace(s.fingerprint(), phase);
+  if (heur.avf) {
+    size_t steps = 0;
+    *s = AvfClosure(*s, topts, &steps, &arena);
+    stats.created += steps;
+    stats.discarded += steps;
+    RDFVIEWS_DCHECK(!armed_stop.Rejects(*s));
+  }
+  auto [it, inserted] = seen.try_emplace(s->fingerprint(), phase);
   if (!inserted) {
     ++stats.duplicates;
     if (it->second <= phase) return std::nullopt;
     // Re-opened at an earlier stratum: earlier-kind transitions now apply.
     it->second = phase;
   }
-  double c = cost->StateCost(s);
-  if (BetterState(c, s.fingerprint(), best_cost, best.fingerprint())) {
-    best = s;
+  double c = cost->StateCost(*s);
+  if (BetterState(c, s->fingerprint(), best_cost, best.fingerprint())) {
+    best = *s;
     best_cost = c;
     NotifyBest(c);
   }
-  return Admitted{std::move(s), c};
+  return Admitted{std::move(*s), c};
 }
 
 SearchResult SearchContext::Finish(bool completed) {
@@ -172,8 +172,7 @@ SearchResult RunExhaustive(SearchContext* ctx, const State& s0,
       if (ctx->OutOfBudget()) return ctx->Finish(false);
       const Transition& t = entry.transitions[entry.next++];
       int phase = stratified ? static_cast<int>(t.kind) : 0;
-      auto admitted =
-          ctx->Admit(ApplyTransition(entry.state, t, &ctx->arena), phase);
+      auto admitted = ctx->Admit(entry.state, t, phase);
       if (admitted.has_value()) {
         cs.push_back(Entry{std::move(admitted->state), phase, {}, false, 0});
         produced = true;
@@ -222,9 +221,8 @@ void DfsVisit(SearchContext* ctx, TransitionBufferPool* pool, const State& s,
     if (ctx->OutOfBudget()) return;
     const size_t child_vb =
         vb_depth + (kind == static_cast<int>(TransitionKind::kVB));
-    auto admitted = ctx->Admit(ApplyTransition(s, buf[i], &ctx->arena),
-                               internal::DfsDedupRank(ctx->limits, kind,
-                                                      child_vb));
+    auto admitted = ctx->Admit(
+        s, buf[i], internal::DfsDedupRank(ctx->limits, kind, child_vb));
     if (admitted.has_value()) {
       DfsVisit(ctx, pool, admitted->state, kind, child_vb, depth + 1);
     }
@@ -261,7 +259,7 @@ SearchResult RunGstr(SearchContext* ctx, const State& s0) {
                                ctx->topts, &buf);
       for (const Transition& t : buf) {
         if (ctx->OutOfBudget()) return ctx->Finish(false);
-        auto admitted = ctx->Admit(ApplyTransition(s, t, &ctx->arena), kind);
+        auto admitted = ctx->Admit(s, t, kind);
         if (!admitted.has_value()) continue;
         if (internal::BetterState(admitted->cost,
                                   admitted->state.fingerprint(),

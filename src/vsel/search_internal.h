@@ -34,41 +34,22 @@ inline bool BetterState(double cost, const StateFingerprint& fp,
          (cost == best_cost && Hash128Less(fp, best_fp));
 }
 
-/// Arms the stop_tt / stop_var conditions: a condition already satisfied by
-/// S0 itself is disabled (Sec. 5.2).
-inline void ArmStopConditions(const State& s0, bool* stop_var_active,
-                              bool* stop_tt_active) {
-  *stop_var_active = true;
-  *stop_tt_active = true;
+/// Arms the stop_var / stop_tt conditions the heuristics enable; a
+/// condition already violated by S0 itself is disabled (Sec. 5.2). S0 (and
+/// hence its AVF closure) therefore passes the armed conditions, and so does
+/// every state a search admits from it.
+inline StopConditions ArmStopConditions(const State& s0,
+                                        const HeuristicOptions& heur) {
+  StopConditions armed;
+  armed.stop_var = heur.stop_var;
+  armed.stop_tt = heur.stop_tt;
+  constexpr StopConditions kVar{.stop_var = true};
+  constexpr StopConditions kTt{.stop_tt = true};
   for (const View& v : s0.views()) {
-    if (v.def.NumConstants() == 0) *stop_var_active = false;
-    if (v.def.len() == 1 && v.def.NumConstants() == 0 &&
-        v.def.BodyVars().size() == 3) {
-      *stop_tt_active = false;
-    }
+    if (kVar.Rejects(v.def)) armed.stop_var = false;
+    if (kTt.Rejects(v.def)) armed.stop_tt = false;
   }
-}
-
-/// The stop_var / stop_tt state filters (Sec. 5.2), evaluated against the
-/// armed flags computed by ArmStopConditions.
-inline bool StateViolatesStopConditions(const State& s,
-                                        const HeuristicOptions& heur,
-                                        bool stop_var_active,
-                                        bool stop_tt_active) {
-  if (heur.stop_var && stop_var_active) {
-    for (const View& v : s.views()) {
-      if (v.def.NumConstants() == 0) return true;
-    }
-  }
-  if (heur.stop_tt && stop_tt_active) {
-    for (const View& v : s.views()) {
-      if (v.def.len() == 1 && v.def.NumConstants() == 0 &&
-          v.def.BodyVars().size() == 3) {
-        return true;
-      }
-    }
-  }
-  return false;
+  return armed;
 }
 
 /// Revisit rank for the DFS seen-set. Without a VB cap the stratum alone
@@ -119,12 +100,13 @@ class SearchContext {
     double cost;
   };
 
-  /// Processes a freshly produced state: applies AVF closure, stop
-  /// conditions and duplicate detection, and tracks the best state.
-  /// `phase` is the stratum (transition kind) that produced the state.
-  std::optional<Admitted> Admit(State s, int phase);
-
-  bool ViolatesStopConditions(const State& s) const;
+  /// Applies `t` to `parent` (an admitted state) and processes the
+  /// successor, in this order: the stop test on the transition's new
+  /// views, before the successor is built; AVF closure; duplicate
+  /// detection; cost and best tracking. `phase` is the stratum (transition
+  /// kind) that produced the state.
+  std::optional<Admitted> Admit(const State& parent, const Transition& t,
+                                int phase);
 
   SearchResult Finish(bool completed);
 
@@ -135,7 +117,7 @@ class SearchContext {
   Deadline deadline;
   SearchStats stats;
   /// Backs the flat storage of every state this context's run creates
-  /// (ApplyTransition / AvfClosure route through it). Single-threaded by
+  /// (TryApplyTransition / AvfClosure route through it). Single-threaded by
   /// construction — one SearchContext per serial run. States escaping the
   /// run (the best) stay valid past the context: arena blocks are
   /// reference counted by the spans that live in them.
@@ -148,8 +130,8 @@ class SearchContext {
   /// fused state dominates S0 and shrinks the space).
   State start;
   double best_cost = 0;
-  bool stop_var_active = true;
-  bool stop_tt_active = true;
+  /// Armed by Init against S0.
+  StopConditions armed_stop;
 };
 
 }  // namespace internal

@@ -870,6 +870,11 @@ std::string SerializeRecommendationCanonical(const Recommendation& rec,
   Recommendation canonical = rec;
   canonical.stats.elapsed_sec = 0;
   canonical.stats.best_trace.clear();
+  canonical.stats.created = 0;
+  canonical.stats.duplicates = 0;
+  canonical.stats.discarded = 0;
+  canonical.stats.explored = 0;
+  canonical.stats.transitions_applied = 0;
   return SerializeRecommendation(canonical, identity);
 }
 

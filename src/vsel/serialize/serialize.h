@@ -160,8 +160,11 @@ Result<Recommendation> DeserializeRecommendation(
     std::string_view bytes, const CacheIdentity& identity,
     std::shared_ptr<const rdf::TripleStore> materialization_store = nullptr);
 
-/// SerializeRecommendation with the wall-clock-dependent stats fields
-/// (elapsed_sec, the timestamped best_trace) normalized away: two runs
+/// SerializeRecommendation with the stats fields that depend on how the
+/// run was served normalized away: the wall-clock ones (elapsed_sec, the
+/// timestamped best_trace) and the work counters (created, duplicates,
+/// discarded, explored, transitions_applied), which cover only the
+/// partitions the run searched, not those it took from a cache. Two runs
 /// that found the same best state produce byte-identical canonical blobs.
 /// The vseld end-to-end parity gate compares a daemon-served
 /// recommendation against an in-process one through this form.

@@ -1,6 +1,7 @@
 #include "vsel/transitions.h"
 
 #include <algorithm>
+#include <array>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -90,24 +91,34 @@ cq::ConjunctiveQuery MakeSubView(const cq::ConjunctiveQuery& parent,
   return cq::Minimize(def);
 }
 
-State ApplySc(const State& in, const Transition& t, Arena* arena) {
-  State out = in.CloneForTransition(arena);
-  const View& v = in.views()[t.view_idx];
-  const uint32_t old_id = v.id;
-  const std::vector<cq::VarId> old_cols = v.Columns();
+// SC, JC and VB derive the new view definitions first and test them against
+// the armed stop conditions; only a survivor pays for the clone, the view
+// identities (MakeView) and the rewriting substitution. Fresh variables are
+// numbered from the parent's counter, so the successor is the one an
+// unconditional application builds.
 
+std::optional<State> ApplySc(const State& in, const Transition& t,
+                             const StopConditions& stop, Arena* arena) {
+  const View& v = in.views()[t.view_idx];
   cq::Term old_term =
       v.def.atoms()[t.sc_occurrence.atom].at(t.sc_occurrence.column);
   RDFVIEWS_CHECK_MSG(old_term.is_const(), "SC on a non-constant position");
   const rdf::TermId constant = old_term.constant();
 
-  const cq::VarId w = out.FreshVar();
+  const cq::VarId w = in.next_var();
+  cq::ConjunctiveQuery def = v.def;
+  (*def.mutable_atoms())[t.sc_occurrence.atom].set(t.sc_occurrence.column,
+                                                   cq::Term::Var(w));
+  def.mutable_head()->push_back(cq::Term::Var(w));
+  if (stop.Rejects(def)) return std::nullopt;
+
+  State out = in.CloneForTransition(arena);
+  out.set_next_var(w + 1);
+  const uint32_t old_id = v.id;
+  const std::vector<cq::VarId> old_cols = v.Columns();
   View nv;
   nv.id = out.FreshViewId();
-  nv.def = v.def;
-  (*nv.def.mutable_atoms())[t.sc_occurrence.atom].set(t.sc_occurrence.column,
-                                                      cq::Term::Var(w));
-  nv.def.mutable_head()->push_back(cq::Term::Var(w));
+  nv.def = std::move(def);
   nv.def.set_name(nv.Name());
   ExprPtr repl = Expr::Project(
       Expr::Select(Expr::Scan(nv.id, nv.Columns()),
@@ -118,8 +129,8 @@ State ApplySc(const State& in, const Transition& t, Arena* arena) {
   return out;
 }
 
-State ApplyJc(const State& in, const Transition& t, Arena* arena) {
-  State out = in.CloneForTransition(arena);
+std::optional<State> ApplyJc(const State& in, const Transition& t,
+                             const StopConditions& stop, Arena* arena) {
   const View& v = in.views()[t.view_idx];
   const uint32_t old_id = v.id;
   const std::vector<cq::VarId> old_cols = v.Columns();
@@ -128,7 +139,7 @@ State ApplyJc(const State& in, const Transition& t, Arena* arena) {
       v.def.atoms()[t.jc_replace.atom].at(t.jc_replace.column);
   RDFVIEWS_CHECK_MSG(replaced.is_var(), "JC on a non-variable position");
   const cq::VarId x = replaced.var();
-  const cq::VarId xp = out.FreshVar();
+  const cq::VarId xp = in.next_var();
 
   cq::ConjunctiveQuery def2 = v.def;
   (*def2.mutable_atoms())[t.jc_replace.atom].set(t.jc_replace.column,
@@ -141,6 +152,9 @@ State ApplyJc(const State& in, const Transition& t, Arena* arena) {
   RDFVIEWS_CHECK_MSG(num_comp <= 2, "JC split a view into >2 components");
 
   if (num_comp == 1) {
+    if (stop.Rejects(def2)) return std::nullopt;
+    State out = in.CloneForTransition(arena);
+    out.set_next_var(xp + 1);
     View nv;
     nv.id = out.FreshViewId();
     nv.def = std::move(def2);
@@ -168,7 +182,10 @@ State ApplyJc(const State& in, const Transition& t, Arena* arena) {
   std::unordered_set<cq::VarId> no_shared;  // components share no variables
   cq::ConjunctiveQuery def_a = MakeSubView(def2, mask_a, no_shared);
   cq::ConjunctiveQuery def_b = MakeSubView(def2, mask_b, no_shared);
+  if (stop.Rejects(def_a) || stop.Rejects(def_b)) return std::nullopt;
 
+  State out = in.CloneForTransition(arena);
+  out.set_next_var(xp + 1);
   View va;
   va.id = out.FreshViewId();
   va.def = std::move(def_a);
@@ -193,26 +210,29 @@ State ApplyJc(const State& in, const Transition& t, Arena* arena) {
   return out;
 }
 
-State ApplyVb(const State& in, const Transition& t, Arena* arena) {
-  State out = in.CloneForTransition(arena);
+std::optional<State> ApplyVb(const State& in, const Transition& t,
+                             const StopConditions& stop, Arena* arena) {
   const View& v = in.views()[t.view_idx];
-  const uint32_t old_id = v.id;
-  const std::vector<cq::VarId> old_cols = v.Columns();
-
   std::unordered_set<cq::VarId> vars_a = VarsOfMask(v.def.atoms(), t.vb_mask_a);
   std::unordered_set<cq::VarId> vars_b = VarsOfMask(v.def.atoms(), t.vb_mask_b);
   std::unordered_set<cq::VarId> shared;
   for (cq::VarId u : vars_a) {
     if (vars_b.contains(u)) shared.insert(u);
   }
+  cq::ConjunctiveQuery def_a = MakeSubView(v.def, t.vb_mask_a, shared);
+  cq::ConjunctiveQuery def_b = MakeSubView(v.def, t.vb_mask_b, shared);
+  if (stop.Rejects(def_a) || stop.Rejects(def_b)) return std::nullopt;
 
+  State out = in.CloneForTransition(arena);
+  const uint32_t old_id = v.id;
+  const std::vector<cq::VarId> old_cols = v.Columns();
   View va;
   va.id = out.FreshViewId();
-  va.def = MakeSubView(v.def, t.vb_mask_a, shared);
+  va.def = std::move(def_a);
   va.def.set_name(va.Name());
   View vb;
   vb.id = out.FreshViewId();
-  vb.def = MakeSubView(v.def, t.vb_mask_b, shared);
+  vb.def = std::move(def_b);
   vb.def.set_name(vb.Name());
 
   // Natural join re-joins on the shared variable names.
@@ -438,7 +458,25 @@ void EnumerateScJcStriped(const State& state, const TransitionOptions& options,
   out->insert(out->end(), jc_scratch->begin(), jc_scratch->end());
 }
 
+/// True when two views of `state` may have isomorphic bodies, i.e. share a
+/// body hash. Allocation-free: the hashes of up to kMaxSorted views are
+/// sorted on the stack; larger states answer true and take the exact scan.
+bool MayHaveFusablePair(const State& state) {
+  constexpr size_t kMaxSorted = 64;
+  const size_t n = state.views().size();
+  if (n < 2) return false;
+  if (n > kMaxSorted) return true;
+  std::array<uint64_t, kMaxSorted> hashes;
+  for (size_t i = 0; i < n; ++i) hashes[i] = state.views()[i].BodyHash().lo;
+  std::sort(hashes.begin(), hashes.begin() + n);
+  return std::adjacent_find(hashes.begin(), hashes.begin() + n) !=
+         hashes.begin() + n;
+}
+
 void EnumerateVf(const State& state, std::vector<Transition>* out) {
+  // Nearly every state a search visits has no fusable pair (AVF keeps them
+  // fused); those are answered from the memoized body hashes alone.
+  if (!MayHaveFusablePair(state)) return;
   // Bucket by the memoized body-only canonical key: shared View objects are
   // canonicalized once ever, not once per state that holds them.
   std::unordered_map<std::string, std::vector<uint32_t>> by_body;
@@ -578,22 +616,36 @@ size_t EnumerateTransitionsBatch(const State& state, TransitionKind from_kind,
   return n;
 }
 
-State ApplyTransition(const State& state, const Transition& t, Arena* arena) {
-  auto apply = [&]() -> State {
-    switch (t.kind) {
-      case TransitionKind::kSC: return ApplySc(state, t, arena);
-      case TransitionKind::kJC: return ApplyJc(state, t, arena);
-      case TransitionKind::kVB: return ApplyVb(state, t, arena);
-      case TransitionKind::kVF: return ApplyVf(state, t, arena);
-    }
-    RDFVIEWS_CHECK_MSG(false, "unreachable");
-    return state;
-  };
-  State out = apply();
-  // Debug cross-check: the incrementally maintained fingerprint must equal
-  // a from-scratch recomputation over the successor's views.
-  RDFVIEWS_DCHECK(out.fingerprint() == out.RecomputeFingerprint());
+std::optional<State> TryApplyTransition(const State& state,
+                                        const Transition& t,
+                                        const StopConditions& stop,
+                                        Arena* arena) {
+  std::optional<State> out;
+  switch (t.kind) {
+    case TransitionKind::kSC:
+      out = ApplySc(state, t, stop, arena);
+      break;
+    case TransitionKind::kJC:
+      out = ApplyJc(state, t, stop, arena);
+      break;
+    case TransitionKind::kVB:
+      out = ApplyVb(state, t, stop, arena);
+      break;
+    case TransitionKind::kVF:
+      out = ApplyVf(state, t, arena);
+      break;
+  }
+  if (!out.has_value()) return out;
+  // Debug cross-checks: the incrementally maintained fingerprint equals a
+  // from-scratch recomputation over the successor's views, and testing the
+  // new views alone admitted exactly what the full-state test admits.
+  RDFVIEWS_DCHECK(out->fingerprint() == out->RecomputeFingerprint());
+  RDFVIEWS_DCHECK(stop.Rejects(state) || !stop.Rejects(*out));
   return out;
+}
+
+State ApplyTransition(const State& state, const Transition& t, Arena* arena) {
+  return *TryApplyTransition(state, t, StopConditions{}, arena);
 }
 
 State AvfClosure(const State& state, const TransitionOptions& options,

@@ -142,10 +142,46 @@ class TransitionBufferPool {
   std::vector<std::unique_ptr<TransitionBuffer>> buffers_;
 };
 
-/// Applies a transition, producing the successor state. Fails only on
-/// malformed descriptors. The successor's flat storage is bump-allocated
-/// from `arena` when one is given (heap otherwise); see
-/// State::CloneForTransition for the lifetime rules.
+/// The stop conditions of Sec. 5.2 as armed for one search run: the search
+/// discards every state holding a view that an armed condition rejects.
+/// Both predicates read only the view's body, so they are invariant under
+/// variable renaming and View Fusion (which keeps one of two isomorphic
+/// bodies). Default-constructed: nothing armed.
+struct StopConditions {
+  /// stop_var: reject a view with no constant.
+  bool stop_var = false;
+  /// stop_tt: reject the full triple table (one atom, three variables).
+  bool stop_tt = false;
+
+  bool Rejects(const cq::ConjunctiveQuery& def) const {
+    if (stop_var && def.NumConstants() == 0) return true;
+    return stop_tt && def.len() == 1 && def.NumConstants() == 0 &&
+           def.BodyVars().size() == 3;
+  }
+
+  bool Rejects(const State& s) const {
+    for (const View& v : s.views()) {
+      if (Rejects(v.def)) return true;
+    }
+    return false;
+  }
+};
+
+/// Applies a transition unless `stop` rejects one of the views it creates;
+/// then returns nullopt before the successor is built (no clone, no view
+/// identity, no rewriting substitution). The views the successor shares
+/// with `state` are not re-tested: when `state` itself passes `stop` — as
+/// every state a search expands does — the verdict equals
+/// `stop.Rejects(successor)` exactly. VF creates no new body and is never
+/// rejected. Fails only on malformed descriptors. The successor's flat
+/// storage is bump-allocated from `arena` when one is given (heap
+/// otherwise); see State::CloneForTransition for the lifetime rules.
+std::optional<State> TryApplyTransition(const State& state,
+                                        const Transition& t,
+                                        const StopConditions& stop,
+                                        Arena* arena = nullptr);
+
+/// TryApplyTransition with no condition armed: always builds the successor.
 State ApplyTransition(const State& state, const Transition& t,
                       Arena* arena = nullptr);
 

@@ -28,6 +28,7 @@ struct Identity {
   std::string canon;
   std::string body_canon;
   Hash128 hash;
+  Hash128 body_hash;
 };
 
 struct IdentityShard {
@@ -114,6 +115,7 @@ void View::FillIdentityCached() const {
       canon_ = id.canon;
       body_canon_ = id.body_canon;
       hash_ = id.hash;
+      body_hash_ = id.body_hash;
       canonical_ready_ = true;
       body_ready_ = true;
       hash_ready_ = true;
@@ -127,9 +129,11 @@ void View::FillIdentityCached() const {
   id->canon = cq::CanonicalString(def, /*include_head=*/true);
   id->body_canon = cq::CanonicalString(def, /*include_head=*/false);
   id->hash = HashBytes128(id->canon.data(), id->canon.size());
+  id->body_hash = HashBytes128(id->body_canon.data(), id->body_canon.size());
   canon_ = id->canon;
   body_canon_ = id->body_canon;
   hash_ = id->hash;
+  body_hash_ = id->body_hash;
   canonical_ready_ = true;
   body_ready_ = true;
   hash_ready_ = true;

@@ -51,9 +51,17 @@ struct View {
   const std::string& BodyKey() const {
     if (!body_ready_) {
       body_canon_ = cq::CanonicalString(def, /*include_head=*/false);
+      body_hash_ = HashBytes128(body_canon_.data(), body_canon_.size());
       body_ready_ = true;
     }
     return body_canon_;
+  }
+
+  /// 128-bit hash of BodyKey(): views with distinct hashes are never
+  /// fusable, so the VF scan compares these before any string.
+  const Hash128& BodyHash() const {
+    if (!body_ready_) BodyKey();
+    return body_hash_;
   }
 
   /// 128-bit hash of CanonicalKey(); summed into the state fingerprint.
@@ -111,6 +119,7 @@ struct View {
   mutable std::string canon_;
   mutable std::string body_canon_;
   mutable Hash128 hash_;
+  mutable Hash128 body_hash_;
   mutable Hash128 cost_hash_;
   mutable Hash128 cost_body_hash_;
   mutable bool canonical_ready_ = false;

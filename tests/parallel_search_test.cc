@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/stop_token.h"
+#include "common/telemetry/metrics.h"
 #include "common/thread_pool.h"
 #include "rdf/statistics.h"
 #include "rdfviews.h"  // umbrella header: must compile standalone
@@ -108,6 +110,46 @@ TEST_P(ParallelEquivalenceTest, CompetitorsFallBackToSerialUnderThreads) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelEquivalenceTest,
                          ::testing::Values(401, 402, 403, 404));
+
+// ---- Budget checks ahead of work -----------------------------------------
+
+TEST(ParallelBudgetTest, StopBeforeRunAppliesAndEnumeratesNothing) {
+  // A stop requested before the run must keep the exhaustive frontier
+  // engines from popping, enumerating or applying anything: workers check
+  // cancellation before PopBatch hands out an item and before an entry's
+  // first enumeration. Counted in work, so no clock is involved.
+  rdf::Dictionary dict;
+  rdf::TripleStore store = RandomStore(&dict, 80, 10, 4, 401);
+  Rng rng(401);
+  std::vector<cq::ConjunctiveQuery> workload;
+  for (int i = 0; i < 2; ++i) {
+    workload.push_back(RandomQuery(store, 3, 2, rng.raw()));
+    workload.back().set_name("q" + std::to_string(i));
+  }
+  rdf::Statistics stats(&store);
+  telemetry::Counter* enumerated =
+      telemetry::MetricsRegistry::Default()->GetCounter(
+          "vsel_transitions_enumerated_total");
+  for (StrategyKind kind : {StrategyKind::kExNaive, StrategyKind::kExStr}) {
+    CostModel model(&stats, CostWeights{});
+    State s0 = *MakeInitialState(workload);
+    HeuristicOptions heur;  // no AVF: Init enumerates nothing either
+    StopSource source;
+    source.RequestStop();
+    SearchLimits limits;
+    limits.time_budget_sec = 0;
+    limits.num_threads = 2;
+    limits.stop = source.token();
+    const uint64_t enumerated_before = enumerated->Value();
+    auto r = RunSearch(kind, s0, model, heur, limits);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_TRUE(r->stats.cancelled) << StrategyName(kind);
+    EXPECT_FALSE(r->stats.completed) << StrategyName(kind);
+    EXPECT_EQ(r->stats.transitions_applied, 0u) << StrategyName(kind);
+    EXPECT_EQ(r->stats.explored, 0u) << StrategyName(kind);
+    EXPECT_EQ(enumerated->Value(), enumerated_before) << StrategyName(kind);
+  }
+}
 
 // ---- Concurrent seen-set stress ------------------------------------------
 

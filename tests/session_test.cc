@@ -596,32 +596,40 @@ TEST(SessionTest, EarlyFinishersRegrantTimeBudget) {
 
 // ---- Reported search time ------------------------------------------------
 
+/// Four constant-disjoint families whose exhaustive searches take real
+/// time, and a delta opening a fifth, one-atom family: an update with the
+/// delta searches that partition alone and serves the other four from the
+/// session cache.
+struct FourFamiliesAndDelta {
+  FourFamiliesAndDelta() {
+    workload::WorkloadSpec spec;
+    spec.num_queries = 8;
+    spec.atoms_per_query = 3;
+    spec.commonality = workload::Commonality::kHigh;
+    spec.partition_groups = 4;
+    spec.seed = 17;
+    initial = workload::GenerateWorkload(spec, &dict);
+    delta = {MustParse("d1(X) :- t(X, d:p1, d:c1)", &dict)};
+    std::vector<cq::ConjunctiveQuery> all = initial;
+    all.insert(all.end(), delta.begin(), delta.end());
+    store = workload::GenerateStoreForWorkload(all, &dict, 3000, 17);
+    options.auto_calibrate_cm = false;
+  }
+
+  rdf::Dictionary dict;
+  std::vector<cq::ConjunctiveQuery> initial;
+  std::vector<cq::ConjunctiveQuery> delta;
+  rdf::TripleStore store;
+  TuningConfig options;
+};
+
 TEST(SessionElapsedTest, ReusedPartitionsAddNoSearchTime) {
-  // Four constant-disjoint families whose exhaustive searches take real
-  // time, then a delta opening a fifth, one-atom family: the update
-  // searches that partition alone and serves the other four from the
-  // cache. Its elapsed_sec is stage 3's measured wall time, so it can not
+  // The update's elapsed_sec is stage 3's measured wall time, so it can not
   // exceed the caller's wall time of Update; adding the reused partitions'
   // original search times would. The bound is one-sided, so it holds at
   // any machine speed.
-  rdf::Dictionary dict;
-  workload::WorkloadSpec spec;
-  spec.num_queries = 8;
-  spec.atoms_per_query = 3;
-  spec.commonality = workload::Commonality::kHigh;
-  spec.partition_groups = 4;
-  spec.seed = 17;
-  std::vector<cq::ConjunctiveQuery> initial =
-      workload::GenerateWorkload(spec, &dict);
-  std::vector<cq::ConjunctiveQuery> delta = {
-      MustParse("d1(X) :- t(X, d:p1, d:c1)", &dict)};
-  std::vector<cq::ConjunctiveQuery> all = initial;
-  all.insert(all.end(), delta.begin(), delta.end());
-  rdf::TripleStore store =
-      workload::GenerateStoreForWorkload(all, &dict, 3000, 17);
-
-  TuningConfig options;
-  options.auto_calibrate_cm = false;
+  FourFamiliesAndDelta w;
+  auto& [dict, initial, delta, store, options] = w;
   TuningSession session(&store, &dict, options);
   Result<Recommendation> first = session.Update(initial);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
@@ -651,6 +659,46 @@ TEST(SessionElapsedTest, ReusedPartitionsAddNoSearchTime) {
   EXPECT_EQ(again->pipeline.num_partitions, 1u);
   EXPECT_EQ(again->pipeline.partitions_searched, 0u);
   EXPECT_EQ(again->stats.elapsed_sec, 0.0);
+}
+
+TEST(SessionElapsedTest, ReusedPartitionsAddNoSearchWork) {
+  // The work counters cover the same searches as elapsed_sec, so
+  // StatesPerSecond() divides one run's work by that run's time. The
+  // delta's partition is searched the same way (DFS, completed) alone in a
+  // fresh session, so its counters are the update's expected counters.
+  FourFamiliesAndDelta w;
+  auto& [dict, initial, delta, store, options] = w;
+  TuningSession alone(&store, &dict, options);
+  Result<Recommendation> delta_only = alone.Update(delta);
+  ASSERT_TRUE(delta_only.ok()) << delta_only.status().ToString();
+  ASSERT_GT(delta_only->stats.created, 0u);
+
+  TuningSession session(&store, &dict, options);
+  ASSERT_TRUE(session.Update(initial).ok());
+  Result<Recommendation> rec = session.Update(delta);
+  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+  ASSERT_EQ(rec->pipeline.partitions_searched, 1u);
+  ASSERT_EQ(rec->pipeline.partitions_reused, 4u);
+  const SearchStats& want = delta_only->stats;
+  EXPECT_EQ(rec->stats.created, want.created);
+  EXPECT_EQ(rec->stats.duplicates, want.duplicates);
+  EXPECT_EQ(rec->stats.discarded, want.discarded);
+  EXPECT_EQ(rec->stats.explored, want.explored);
+  EXPECT_EQ(rec->stats.transitions_applied, want.transitions_applied);
+
+  // Dropping the delta searches nothing: no work at all.
+  Result<Recommendation> dropped = session.Update({}, {"d1"});
+  ASSERT_TRUE(dropped.ok()) << dropped.status().ToString();
+  EXPECT_EQ(dropped->pipeline.partitions_searched, 0u);
+  EXPECT_EQ(dropped->stats.created, 0u);
+  EXPECT_EQ(dropped->stats.transitions_applied, 0u);
+
+  // Nor does a single partition served whole from the cache.
+  Result<Recommendation> again = alone.Recommend();
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again->pipeline.partitions_searched, 0u);
+  EXPECT_EQ(again->stats.created, 0u);
+  EXPECT_EQ(again->stats.transitions_applied, 0u);
 }
 
 }  // namespace

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
+#include <unordered_map>
 
 #include "engine/executor.h"
+#include "common/logging.h"
 #include "engine/materializer.h"
 #include "test_util.h"
 #include "vsel/transitions.h"
@@ -313,36 +316,148 @@ TEST(TransitionTest, Figure1Walkthrough) {
 
 // ---------------------------- Random-walk equivalence (the key invariant)
 
-class TransitionWalkTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(TransitionWalkTest, RandomTransitionWalksPreserveEquivalence) {
-  rdf::Dictionary dict;
-  rdf::TripleStore store = RandomStore(&dict, 60, 10, 4, GetParam());
-  Rng rng(GetParam() * 7 + 3);
-  std::vector<cq::ConjunctiveQuery> workload;
-  for (int i = 0; i < 2; ++i) {
-    workload.push_back(RandomQuery(store, 2 + rng.Below(3), 2, rng.raw()));
-    workload.back().set_name("q" + std::to_string(i));
+/// A random transition walk from a random two-query workload: S0 and up to
+/// ten successors, each made by one transition drawn uniformly from all the
+/// applicable ones.
+struct RandomWalk {
+  explicit RandomWalk(int seed) {
+    store = RandomStore(&dict, 60, 10, 4, seed);
+    Rng rng(seed * 7 + 3);
+    for (int i = 0; i < 2; ++i) {
+      workload.push_back(RandomQuery(store, 2 + rng.Below(3), 2, rng.raw()));
+      workload.back().set_name("q" + std::to_string(i));
+    }
+    Result<State> s0 = MakeInitialState(workload);
+    RDFVIEWS_CHECK_MSG(s0.ok(), s0.status().ToString());
+    states.push_back(*s0);
+    for (int step = 0; step < 10; ++step) {
+      std::vector<Transition> all = AllTransitions(states.back());
+      if (all.empty()) break;
+      const Transition& t = all[rng.Below(all.size())];
+      states.push_back(ApplyTransition(states.back(), t));
+      labels.push_back("step " + std::to_string(step) + " " + t.ToString());
+    }
   }
-  Result<State> s0 = MakeInitialState(workload);
-  ASSERT_TRUE(s0.ok()) << s0.status().ToString();
 
-  TransitionOptions topts;
-  State current = *s0;
-  for (int step = 0; step < 10; ++step) {
+  static std::vector<Transition> AllTransitions(const State& s) {
     std::vector<Transition> all;
     for (TransitionKind kind :
          {TransitionKind::kVB, TransitionKind::kSC, TransitionKind::kJC,
           TransitionKind::kVF}) {
-      std::vector<Transition> ts = EnumerateTransitions(current, kind, topts);
+      std::vector<Transition> ts =
+          EnumerateTransitions(s, kind, TransitionOptions{});
       all.insert(all.end(), ts.begin(), ts.end());
     }
-    if (all.empty()) break;
-    const Transition& t = all[rng.Below(all.size())];
-    current = ApplyTransition(current, t);
-    ExpectStateAnswersWorkload(current, workload, store,
-                               "step " + std::to_string(step) + " " +
-                                   t.ToString());
+    return all;
+  }
+
+  rdf::Dictionary dict;
+  rdf::TripleStore store;
+  std::vector<cq::ConjunctiveQuery> workload;
+  std::vector<State> states;       // S0 first
+  std::vector<std::string> labels;  // labels[i] made states[i + 1]
+};
+
+/// The VF enumeration as it was before the body-hash pre-check: every state
+/// buckets its views by body string.
+std::vector<Transition> StringBucketVf(const State& state) {
+  std::vector<Transition> out;
+  std::unordered_map<std::string, std::vector<uint32_t>> by_body;
+  for (uint32_t vi = 0; vi < state.views().size(); ++vi) {
+    by_body[state.views()[vi].BodyKey()].push_back(vi);
+  }
+  for (const auto& [body, group] : by_body) {
+    for (size_t i = 0; i < group.size(); ++i) {
+      for (size_t j = i + 1; j < group.size(); ++j) {
+        Transition t;
+        t.kind = TransitionKind::kVF;
+        t.view_idx = group[i];
+        t.view_idx2 = group[j];
+        out.push_back(t);
+      }
+    }
+  }
+  return out;
+}
+
+constexpr StopConditions kStopVar{.stop_var = true};
+constexpr StopConditions kStopTt{.stop_tt = true};
+constexpr StopConditions kStopBoth{.stop_var = true, .stop_tt = true};
+
+class TransitionWalkTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(TransitionWalkTest, RandomTransitionWalksPreserveEquivalence) {
+  RandomWalk walk(GetParam());
+  for (size_t i = 1; i < walk.states.size(); ++i) {
+    ExpectStateAnswersWorkload(walk.states[i], walk.workload, walk.store,
+                               walk.labels[i - 1]);
+  }
+}
+
+TEST_P(TransitionWalkTest, PreApplyStopTestMatchesTheFullStateTest) {
+  // From any state that passes a set of stop conditions, an SC/JC/VB
+  // transition is rejected before the successor is built exactly when the
+  // built successor fails the full-state test; an admitted successor is
+  // the one ApplyTransition builds.
+  RandomWalk walk(GetParam());
+  size_t checked = 0;
+  size_t rejected = 0;
+  for (const State& s : walk.states) {
+    for (const StopConditions& stop : {kStopVar, kStopTt, kStopBoth}) {
+      if (stop.Rejects(s)) continue;  // searches only expand passing states
+      for (const Transition& t : RandomWalk::AllTransitions(s)) {
+        if (t.kind == TransitionKind::kVF) continue;
+        State full = ApplyTransition(s, t);
+        std::optional<State> pre = TryApplyTransition(s, t, stop);
+        EXPECT_EQ(!pre.has_value(), stop.Rejects(full)) << t.ToString();
+        if (!pre.has_value()) ++rejected;
+        if (pre.has_value()) {
+          EXPECT_EQ(pre->fingerprint(), full.fingerprint()) << t.ToString();
+          EXPECT_EQ(pre->ToString(), full.ToString()) << t.ToString();
+        }
+        ++checked;
+      }
+    }
+  }
+  // Both verdicts occur on every seed's walk.
+  EXPECT_GT(rejected, 0u);
+  EXPECT_LT(rejected, checked);
+}
+
+TEST_P(TransitionWalkTest, AvfClosurePreservesBothStopPredicates) {
+  // The stop test may run before AVF: fusing views keeps every view body
+  // up to isomorphism, and both predicates read only the body.
+  RandomWalk walk(GetParam());
+  for (const State& s : walk.states) {
+    for (const Transition& t : RandomWalk::AllTransitions(s)) {
+      State next = ApplyTransition(s, t);
+      size_t steps = 0;
+      State closed = AvfClosure(next, TransitionOptions{}, &steps);
+      EXPECT_EQ(kStopVar.Rejects(next), kStopVar.Rejects(closed))
+          << t.ToString() << ", " << steps << " fusions";
+      EXPECT_EQ(kStopTt.Rejects(next), kStopTt.Rejects(closed))
+          << t.ToString() << ", " << steps << " fusions";
+    }
+  }
+}
+
+TEST_P(TransitionWalkTest, VfScanMatchesTheStringBucketScan) {
+  RandomWalk walk(GetParam());
+  auto expect_same = [](const State& s, const std::string& context) {
+    std::vector<Transition> got =
+        EnumerateTransitions(s, TransitionKind::kVF, TransitionOptions{});
+    std::vector<Transition> want = StringBucketVf(s);
+    ASSERT_EQ(got.size(), want.size()) << context;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].view_idx, want[i].view_idx) << context << " #" << i;
+      EXPECT_EQ(got[i].view_idx2, want[i].view_idx2) << context << " #" << i;
+    }
+  };
+  for (const State& s : walk.states) {
+    expect_same(s, "walk state");
+    for (const Transition& t : RandomWalk::AllTransitions(s)) {
+      expect_same(ApplyTransition(s, t), t.ToString());
+    }
   }
 }
 
