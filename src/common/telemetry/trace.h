@@ -16,8 +16,7 @@
 // design; spans wrap stages, attempts, I/O and sleeps.
 //
 // The clock is a std::function<uint64_t()> returning nanos, injectable
-// for determinism in tests — the same pattern as the fault harness's
-// CircuitBreaker clock.
+// for determinism in tests.
 #ifndef RDFVIEWS_COMMON_TELEMETRY_TRACE_H_
 #define RDFVIEWS_COMMON_TELEMETRY_TRACE_H_
 
@@ -127,7 +126,7 @@ class TraceSpan {
   bool ended_ = false;
 };
 
-/// Zero-duration child span ("event"): watchdog fire, breaker skip.
+/// Zero-duration child span ("event"): watchdog fire.
 void TraceEvent(const char* name,
                 std::initializer_list<std::pair<std::string, std::string>>
                     attrs = {});

@@ -7,8 +7,8 @@
 //   4. Recommend views       -> vsel::ViewSelector::Recommend (one-shot)
 //                               or vsel::TuningSession (evolving workloads:
 //                               incremental Update, async + cancellation,
-//                               persistent partition caches via
-//                               vsel::serialize::DirCacheBackend)
+//                               one LRU partition cache, persistent via
+//                               SessionCacheOptions::cache_dir)
 //   5. Materialize & answer  -> vsel::Materialize, vsel::AnswerQuery
 //      (or ship the recommendation itself:
 //       vsel::serialize::SerializeRecommendation)
@@ -36,6 +36,7 @@
 #include "vsel/selector.h"
 #include "vsel/serialize/partition_cache.h"
 #include "vsel/serialize/serialize.h"
+#include "vsel/serialize/tiered_cache.h"
 #include "vsel/session/session.h"
 #include "vsel/state.h"
 #include "vsel/transitions.h"

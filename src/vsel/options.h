@@ -151,10 +151,9 @@ struct PartitionOptions {
   bool parallel_partitions = true;
 };
 
-/// Per-partition retry policy of pipeline stage 3 (and, with the backend
-/// knobs in SessionCacheOptions, of the RetryingCacheBackend decorator): a
-/// failed attempt is retried up to max_attempts total tries, sleeping an
-/// exponentially growing, deterministically jittered backoff in between.
+/// Per-partition retry policy of pipeline stage 3: a failed attempt is
+/// retried up to max_attempts total tries, sleeping an exponentially
+/// growing, deterministically jittered backoff in between.
 /// Backoffs and retry attempts are budget-aware: a partition never sleeps
 /// or re-searches past its apportioned time slice.
 struct RetryPolicy {
@@ -190,17 +189,20 @@ struct RobustnessOptions {
   double partition_deadline_sec = 0;
 };
 
-/// Storage knobs of a TuningSession's per-partition result cache (see
-/// vsel/serialize/partition_cache.h). The cache maps canonical workload
-/// keys to completed search outcomes; these options pick where those pairs
-/// live and how many an in-memory backend retains.
+/// Storage knob of a TuningSession's per-partition result cache (see
+/// vsel/serialize/tiered_cache.h). The cache maps canonical workload keys
+/// to completed search outcomes in one in-memory LRU, trimmed after every
+/// update to max(64, 4 x current partitions) entries: recently retired
+/// sub-workloads stay instantly re-addable, but a drifting log can not grow
+/// the session without bound.
 struct SessionCacheOptions {
-  /// When non-empty, partition results persist as one identity-tagged file
-  /// per canonical key under this directory (DirCacheBackend): they survive
-  /// process restarts, and concurrent sessions pointed at the same
-  /// directory reuse each other's completed searches. Empty (the default)
-  /// keeps the in-process LRU backend. A caller-supplied backend passed to
-  /// the TuningSession constructor overrides this knob entirely.
+  /// When non-empty, the LRU sits over a durable store: one
+  /// identity-tagged file per canonical key under this directory
+  /// (DirCacheBackend). Outcomes then survive process restarts, and
+  /// concurrent sessions pointed at the same directory reuse each other's
+  /// completed searches. Empty (the default) keeps entries in process
+  /// memory only. A caller-supplied backend passed to the TuningSession
+  /// constructor overrides this knob entirely.
   ///
   /// Pair this with `auto_calibrate_cm = false` (fixed cost weights): a
   /// calibrating session deliberately ignores cached entries on its
@@ -209,31 +211,6 @@ struct SessionCacheOptions {
   /// never read it — only multi-update sessions warm-start, from their
   /// second update on.
   std::string cache_dir;
-  /// In-memory backends are trimmed after every update to
-  /// max(lru_floor, lru_per_partition x current partitions) entries,
-  /// evicting least-recently-used keys: recently retired sub-workloads stay
-  /// instantly re-addable, but a drifting log can not grow the session
-  /// without bound. Persistent backends ignore the trim (the filesystem
-  /// owns capacity there).
-  size_t lru_floor = 64;
-  size_t lru_per_partition = 4;
-  /// Wrap the session's backend (self-constructed *or* caller-supplied) in
-  /// a robust::RetryingCacheBackend: transient storage failures are retried
-  /// with deterministic backoff, and a run of consecutive failures opens a
-  /// circuit breaker that skips the backend entirely (counted) until a
-  /// half-open probe succeeds — so a wedged shared filesystem costs one
-  /// timeout per breaker window, not one per partition. Off by default;
-  /// the knobs below only apply when set.
-  bool robust_backend = false;
-  /// Attempts per backend operation (including the first).
-  size_t backend_retry_attempts = 3;
-  /// Initial backoff between backend retries (doubles per retry, jittered
-  /// deterministically, capped at 16x).
-  double backend_retry_backoff_sec = 0.002;
-  /// Consecutive failures (across operations) that open the breaker.
-  size_t breaker_failure_threshold = 5;
-  /// How long an open breaker skips the backend before a half-open probe.
-  double breaker_open_sec = 1.0;
 };
 
 /// Observability knobs (src/common/telemetry/). Metrics are process-wide
@@ -322,6 +299,7 @@ struct SearchStats {
   bool memory_exhausted = false;    // max_states hit
   bool time_exhausted = false;      // time budget hit
   bool cancelled = false;           // SearchLimits::stop fired
+  /// Wall time of the whole RunSearch call, engine teardown included.
   double elapsed_sec = 0;
 
   /// Relative cost reduction (c(S0) - c(Sb)) / c(S0), Sec. 6.1.

@@ -1,9 +1,7 @@
-// Deterministic retry backoff, shared by the pipeline's per-partition
-// containment loop (search_stage.cc) and the RetryingCacheBackend
-// decorator.
+// Deterministic retry backoff for the pipeline's per-partition
+// containment loop (search_stage.cc).
 //
-// The backoff for attempt k of stream s (a partition index, or a backend
-// operation counter) is
+// The backoff for attempt k of stream s (a partition index) is
 //
 //   initial * multiplier^(k-2) * jitter(seed, s, k)
 //

@@ -293,7 +293,11 @@ const char* StrategyName(StrategyKind kind) {
   return "?";
 }
 
-Result<SearchResult> RunSearch(StrategyKind strategy, const State& s0,
+namespace {
+
+/// Dispatches to an engine. Its context, seen-set, frontier and arena are
+/// destroyed before this returns.
+Result<SearchResult> RunEngine(StrategyKind strategy, const State& s0,
                                const CostModel& cost_model,
                                const HeuristicOptions& heuristics,
                                const SearchLimits& limits) {
@@ -328,6 +332,21 @@ Result<SearchResult> RunSearch(StrategyKind strategy, const State& s0,
                                  limits);
   }
   return Status::InvalidArgument("unknown strategy");
+}
+
+}  // namespace
+
+Result<SearchResult> RunSearch(StrategyKind strategy, const State& s0,
+                               const CostModel& cost_model,
+                               const HeuristicOptions& heuristics,
+                               const SearchLimits& limits) {
+  // elapsed_sec is the caller's wall time: stamped after the engine's
+  // teardown, which can cost as much as a short search.
+  const Stopwatch watch;
+  Result<SearchResult> result =
+      RunEngine(strategy, s0, cost_model, heuristics, limits);
+  if (result.ok()) result->stats.elapsed_sec = watch.ElapsedSeconds();
+  return result;
 }
 
 }  // namespace rdfviews::vsel

@@ -3,10 +3,11 @@
 #include <cerrno>
 #include <unistd.h>
 
-#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <system_error>
 #include <utility>
 #include <vector>
@@ -30,8 +31,7 @@ constexpr char kTempSuffix[] = ".tmp";
 /// Reads a whole file into a string; nullopt on any failure. `io_error`
 /// distinguishes why: false means the file simply does not exist (a
 /// genuine cache miss), true means the storage layer misbehaved — open
-/// failure other than ENOENT, or a read error mid-way — which a retrying
-/// caller may reasonably try again.
+/// failure other than ENOENT, or a read error mid-way.
 std::optional<std::string> ReadFileBytes(const std::string& path,
                                          bool* io_error) {
   *io_error = false;
@@ -93,76 +93,6 @@ void AppendCacheCounterSamples(const PartitionCacheBackend::Counters& c,
   add("vsel_cache_stored_total", c.stored);
   add("vsel_cache_store_failures_total", c.store_failures);
   add("vsel_cache_temp_files_reaped_total", c.temp_files_reaped);
-  add("vsel_cache_retries_total", c.retries);
-  add("vsel_cache_breaker_skips_total", c.breaker_skips);
-}
-
-// ---- InMemoryCacheBackend --------------------------------------------------
-
-InMemoryCacheBackend::InMemoryCacheBackend() {
-  metrics_ = telemetry::MetricsRegistry::Default()->RegisterCollector(
-      [this](std::vector<telemetry::MetricSample>* out) {
-        AppendCacheCounterSamples(counters(), "memory", out);
-      });
-}
-
-Status InMemoryCacheBackend::Get(const std::string& key, Fetched* out) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    ++counters_.misses;
-    return Status::NotFound("no cached outcome");  // memory never I/O-fails
-  }
-  it->second.last_used = ++use_counter_;
-  ++counters_.hits;
-  // Cheap copy: the result's views / rewritings are shared COW pointers.
-  *out = Fetched{it->second.result, /*needs_rehydration=*/false};
-  return Status::OK();
-}
-
-Status InMemoryCacheBackend::Put(const std::string& key,
-                                 const pipeline::PartitionSearchResult& result) {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_[key] = Entry{result, ++use_counter_};
-  ++counters_.stored;
-  return Status::OK();
-}
-
-void InMemoryCacheBackend::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
-}
-
-size_t InMemoryCacheBackend::Size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
-}
-
-void InMemoryCacheBackend::Trim(size_t max_entries) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (entries_.size() <= max_entries) return;
-  std::vector<std::pair<uint64_t, const std::string*>> by_age;
-  by_age.reserve(entries_.size());
-  for (const auto& [key, entry] : entries_) {
-    by_age.emplace_back(entry.last_used, &key);
-  }
-  std::sort(by_age.begin(), by_age.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (size_t i = 0; i + max_entries < by_age.size(); ++i) {
-    entries_.erase(*by_age[i].second);
-  }
-}
-
-void InMemoryCacheBackend::NoteRehydrationRejected() {
-  // Reachable when sessions share one backend object: a sibling session's
-  // entry can fail the consuming session's cost check (calibration skew).
-  std::lock_guard<std::mutex> lock(mu_);
-  ++counters_.rehydration_rejected;
-}
-
-PartitionCacheBackend::Counters InMemoryCacheBackend::counters() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return counters_;
 }
 
 // ---- DirCacheBackend -------------------------------------------------------

@@ -1,12 +1,10 @@
-// Pluggable storage for a TuningSession's per-partition search results.
+// Storage for a TuningSession's per-partition search results.
 //
 // The session's invalidation rule (session.h) keys completed partition
 // outcomes by canonical workload keys — renaming-insensitive, minimized,
-// self-contained. This file extracts the *storage* of those (key, outcome)
-// pairs from the session into a backend interface with two implementations:
+// self-contained. This file defines the storage interface for those
+// (key, outcome) pairs and its durable implementation:
 //
-//   - InMemoryCacheBackend: the session's historical behavior — an
-//     LRU-stamped map confined to one process. Still the default.
 //   - DirCacheBackend: one file per canonical key under a cache root, in
 //     the versioned, identity-tagged, checksummed binary format of
 //     serialize.h. Outcomes survive process restarts, and any number of
@@ -19,6 +17,9 @@
 //     two racing writers of the same key leave whichever committed last —
 //     both wrote the same completed search result, so either is correct.
 //
+// A session always holds its entries in one in-memory LRU,
+// TieredCacheBackend (tiered_cache.h), optionally over a DirCacheBackend.
+//
 // Entries served by a persistent backend crossed a process boundary:
 // `Fetched::needs_rehydration` tells the session to re-intern the state's
 // views through its live CostModel and re-cost it, accepting the entry only
@@ -27,12 +28,9 @@
 #ifndef RDFVIEWS_VSEL_SERIALIZE_PARTITION_CACHE_H_
 #define RDFVIEWS_VSEL_SERIALIZE_PARTITION_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <mutex>
-#include <optional>
 #include <string>
-#include <unordered_map>
 
 #include "common/telemetry/metrics.h"
 #include "vsel/pipeline/pipeline.h"
@@ -68,17 +66,12 @@ class PartitionCacheBackend {
     uint64_t stored = 0;
     uint64_t store_failures = 0;
     /// Misses caused by the storage layer misbehaving (open/read failure
-    /// on an *existing* entry) rather than by genuine absence — the subset
-    /// of `misses` a RetryingCacheBackend decorator retries.
+    /// on an *existing* entry) rather than by genuine absence — a subset
+    /// of `misses`.
     uint64_t io_failures = 0;
     /// DirCacheBackend only: crash-orphaned temp files swept at
     /// construction (see the reap_temp_older_than_sec constructor knob).
     uint64_t temp_files_reaped = 0;
-    /// RetryingCacheBackend decorator only: operations retried after a
-    /// transient failure, and operations skipped outright by an open
-    /// circuit breaker.
-    uint64_t retries = 0;
-    uint64_t breaker_skips = 0;
   };
 
   virtual ~PartitionCacheBackend() = default;
@@ -86,27 +79,25 @@ class PartitionCacheBackend {
   /// Looks up `key`. The Status *is* the contract: OK means hit (`*out` is
   /// filled), NotFound means the entry genuinely is not there, and any
   /// other code means the storage layer misbehaved (open/read failure on
-  /// an existing entry, a wedged filesystem, a severed transport) — the
-  /// distinction a retrying decorator keys on, formerly an ad-hoc
-  /// `io_failed` out-parameter side channel. Corrupt or foreign-identity
-  /// entries are NotFound (the partition is simply re-searched), never an
-  /// error. Callers that only care hit-vs-miss test `.ok()`.
+  /// an existing entry, a wedged filesystem) — counted apart as an
+  /// io_failure. Corrupt or foreign-identity entries are NotFound (the
+  /// partition is simply re-searched), never an error. Callers that only
+  /// care hit-vs-miss test `.ok()`.
   virtual Status Get(const std::string& key, Fetched* out) = 0;
 
   /// Stores a completed outcome under `key` (best-effort; replaces any
   /// previous entry). Non-OK means the store failed — callers may ignore
-  /// it (a failed Put is a future miss), decorators retry on it.
+  /// it (a failed Put is a future miss).
   virtual Status Put(const std::string& key,
                      const pipeline::PartitionSearchResult& result) = 0;
 
   /// Drops any cached copy of `key` alone (best-effort; non-OK when the
   /// storage layer failed to drop an existing entry). The base
-  /// implementation is a no-op: the plain backends re-validate entries on
-  /// every Get, so a poisoned entry already degrades to a miss there. A
-  /// *caching decorator tier* (TieredCacheBackend's in-memory front) must
-  /// honor it — the session calls Invalidate when an entry it was served
-  /// fails rehydration (identity / cost drift), and without the drop the
-  /// front would keep serving the same poisoned bytes on every update.
+  /// implementation is a no-op. A backend that keeps decoded entries
+  /// (TieredCacheBackend's LRU) must honor it — the session calls
+  /// Invalidate when an entry it was served fails rehydration (identity /
+  /// cost drift), and without the drop the LRU would keep serving the same
+  /// poisoned bytes on every update.
   virtual Status Invalidate(const std::string& key) {
     (void)key;
     return Status::OK();
@@ -118,9 +109,9 @@ class PartitionCacheBackend {
   /// Number of entries currently addressable.
   virtual size_t Size() const = 0;
 
-  /// Capacity hint after each session update: in-memory backends evict
-  /// least-recently-used entries beyond `max_entries`; persistent backends
-  /// may ignore it (the filesystem is the capacity owner there).
+  /// Capacity hint after each session update: in-memory entries beyond
+  /// `max_entries` are evicted least-recently-used first; persistent
+  /// backends may ignore it (the filesystem is the capacity owner there).
   virtual void Trim(size_t max_entries) { (void)max_entries; }
 
   /// Called by the session when an entry this backend served (a counted
@@ -139,36 +130,6 @@ class PartitionCacheBackend {
 void AppendCacheCounterSamples(const PartitionCacheBackend::Counters& c,
                                const char* label,
                                std::vector<telemetry::MetricSample>* out);
-
-/// The session's historical in-process cache: an LRU-stamped map. Entries
-/// are live objects (shared COW views), so Get returns them without
-/// rehydration.
-class InMemoryCacheBackend : public PartitionCacheBackend {
- public:
-  InMemoryCacheBackend();
-
-  Status Get(const std::string& key, Fetched* out) override;
-  Status Put(const std::string& key,
-             const pipeline::PartitionSearchResult& result) override;
-  void Clear() override;
-  size_t Size() const override;
-  void Trim(size_t max_entries) override;
-  void NoteRehydrationRejected() override;
-  Counters counters() const override;
-
- private:
-  struct Entry {
-    pipeline::PartitionSearchResult result;
-    uint64_t last_used = 0;
-  };
-
-  mutable std::mutex mu_;
-  std::unordered_map<std::string, Entry> entries_;
-  uint64_t use_counter_ = 0;
-  Counters counters_;
-  // Last member: unregisters before counters_/mu_ die.
-  telemetry::CollectorHandle metrics_;
-};
 
 /// One file per canonical key under `root`, named by the hex of the key's
 /// 128-bit hash (keys themselves are long binary canonical strings; the

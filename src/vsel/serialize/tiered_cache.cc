@@ -7,8 +7,8 @@
 namespace rdfviews::vsel::serialize {
 
 TieredCacheBackend::TieredCacheBackend(
-    std::shared_ptr<PartitionCacheBackend> back, size_t front_capacity)
-    : back_(std::move(back)), front_capacity_(front_capacity) {
+    std::shared_ptr<PartitionCacheBackend> store)
+    : store_(std::move(store)) {
   metrics_ = telemetry::MetricsRegistry::Default()->RegisterCollector(
       [this](std::vector<telemetry::MetricSample>* out) {
         AppendCacheCounterSamples(counters(), "tiered", out);
@@ -36,54 +36,48 @@ Status TieredCacheBackend::Get(const std::string& key, Fetched* out) {
       it->second.last_used = ++use_counter_;
       ++counters_.hits;
       ++front_hits_;
-      // Cheap copy: shared COW views / rewritings, like the in-memory
-      // backend. needs_rehydration travels as cached (see the header).
+      // Cheap copy: shared COW views / rewritings. needs_rehydration
+      // travels as cached (see the header).
       *out = it->second.fetched;
       return Status::OK();
     }
+    if (store_ == nullptr) {
+      ++counters_.misses;
+      return Status::NotFound("no cached outcome");  // memory never I/O-fails
+    }
   }
-  // Back I/O outside the lock: a slow directory or network tier must not
-  // serialize every front hit behind it.
+  // Store I/O outside the lock: a slow directory must not serialize every
+  // LRU hit behind it.
   Fetched fetched;
-  Status back_status = back_->Get(key, &fetched);
+  Status store_status = store_->Get(key, &fetched);
   std::lock_guard<std::mutex> lock(mu_);
-  if (!back_status.ok()) {
+  if (!store_status.ok()) {
     ++counters_.misses;
-    if (back_status.code() != StatusCode::kNotFound) ++counters_.io_failures;
-    return back_status;
+    if (store_status.code() != StatusCode::kNotFound) ++counters_.io_failures;
+    return store_status;
   }
   ++counters_.hits;
-  if (front_capacity_ > 0) {
-    ++back_promotions_;
-    FrontEntry& e = front_[key];
-    e.fetched = fetched;
-    e.last_used = ++use_counter_;
-    EvictToCapacityLocked(front_capacity_);
-  }
+  ++back_promotions_;
+  InsertLocked(key, fetched);
   *out = std::move(fetched);
   return Status::OK();
 }
 
 Status TieredCacheBackend::Put(const std::string& key,
                                const pipeline::PartitionSearchResult& result) {
-  Status back_status = back_->Put(key, result);
+  Status store_status =
+      store_ == nullptr ? Status::OK() : store_->Put(key, result);
   std::lock_guard<std::mutex> lock(mu_);
-  if (front_capacity_ > 0) {
-    // The live entry needs no rehydration — it never left the process.
-    FrontEntry& e = front_[key];
-    e.fetched.result = result;
-    e.fetched.needs_rehydration = false;
-    e.last_used = ++use_counter_;
-    EvictToCapacityLocked(front_capacity_);
-  }
-  if (back_status.ok()) {
+  // The live entry needs no rehydration — it never left the process.
+  InsertLocked(key, Fetched{result, /*needs_rehydration=*/false});
+  if (store_status.ok()) {
     ++counters_.stored;
   } else {
-    // The front still serves the entry this process's lifetime; the
-    // failure only cost durability.
+    // The LRU still serves the entry this process's lifetime; the failure
+    // only cost durability.
     ++counters_.store_failures;
   }
-  return back_status;
+  return store_status;
 }
 
 Status TieredCacheBackend::Invalidate(const std::string& key) {
@@ -91,7 +85,7 @@ Status TieredCacheBackend::Invalidate(const std::string& key) {
     std::lock_guard<std::mutex> lock(mu_);
     front_.erase(key);
   }
-  return back_->Invalidate(key);
+  return store_ == nullptr ? Status::OK() : store_->Invalidate(key);
 }
 
 void TieredCacheBackend::Clear() {
@@ -99,17 +93,29 @@ void TieredCacheBackend::Clear() {
     std::lock_guard<std::mutex> lock(mu_);
     front_.clear();
   }
-  back_->Clear();
+  if (store_ != nullptr) store_->Clear();
 }
 
-size_t TieredCacheBackend::Size() const { return back_->Size(); }
+size_t TieredCacheBackend::Size() const {
+  return store_ == nullptr ? FrontSize() : store_->Size();
+}
 
 void TieredCacheBackend::Trim(size_t max_entries) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    EvictToCapacityLocked(std::min(front_capacity_, max_entries));
+    if (front_.size() > max_entries) {
+      std::vector<std::pair<uint64_t, const std::string*>> by_age;
+      by_age.reserve(front_.size());
+      for (const auto& [key, entry] : front_) {
+        by_age.emplace_back(entry.last_used, &key);
+      }
+      // Only the cut matters, not the order on either side of it.
+      const auto cut = by_age.begin() + (by_age.size() - max_entries);
+      std::nth_element(by_age.begin(), cut, by_age.end());
+      for (auto it = by_age.begin(); it != cut; ++it) front_.erase(*it->second);
+    }
   }
-  back_->Trim(max_entries);
+  if (store_ != nullptr) store_->Trim(max_entries);
 }
 
 void TieredCacheBackend::NoteRehydrationRejected() {
@@ -117,12 +123,17 @@ void TieredCacheBackend::NoteRehydrationRejected() {
     std::lock_guard<std::mutex> lock(mu_);
     ++counters_.rehydration_rejected;
   }
-  back_->NoteRehydrationRejected();
+  if (store_ != nullptr) store_->NoteRehydrationRejected();
 }
 
 PartitionCacheBackend::Counters TieredCacheBackend::counters() const {
+  const Counters store =
+      store_ == nullptr ? Counters{} : store_->counters();
   std::lock_guard<std::mutex> lock(mu_);
-  return counters_;
+  Counters c = counters_;
+  c.rejected = store.rejected;
+  c.temp_files_reaped = store.temp_files_reaped;
+  return c;
 }
 
 size_t TieredCacheBackend::FrontSize() const {
@@ -140,14 +151,11 @@ uint64_t TieredCacheBackend::BackPromotions() const {
   return back_promotions_;
 }
 
-void TieredCacheBackend::EvictToCapacityLocked(size_t capacity) {
-  while (front_.size() > capacity) {
-    auto lru = front_.begin();
-    for (auto it = std::next(front_.begin()); it != front_.end(); ++it) {
-      if (it->second.last_used < lru->second.last_used) lru = it;
-    }
-    front_.erase(lru);
-  }
+void TieredCacheBackend::InsertLocked(const std::string& key,
+                                      Fetched fetched) {
+  FrontEntry& e = front_[key];
+  e.fetched = std::move(fetched);
+  e.last_used = ++use_counter_;
 }
 
 }  // namespace rdfviews::vsel::serialize

@@ -11,11 +11,16 @@
 #include "common/logging.h"
 #include "common/telemetry/metrics.h"
 #include "common/telemetry/trace.h"
-#include "vsel/robust/retrying_cache_backend.h"
+#include "vsel/serialize/tiered_cache.h"
 
 namespace rdfviews::vsel {
 
 namespace {
+
+/// After every update the cache keeps the most recently used
+/// max(kCacheFloor, kCachePerPartition x partitions) entries.
+constexpr size_t kCacheFloor = 64;
+constexpr size_t kCachePerPartition = 4;
 
 /// Validates and re-costs a cached partition outcome before it is spliced
 /// into this run. The bytes (if any) were structurally validated by the
@@ -83,24 +88,13 @@ TuningSession::TuningSession(
   const serialize::CacheIdentity identity =
       serialize::ComputeCacheIdentity(*store_, options_);
   if (cache_backend_ == nullptr) {
+    std::shared_ptr<serialize::DirCacheBackend> dir;
     if (!options_.cache.cache_dir.empty()) {
-      cache_backend_ = std::make_shared<serialize::DirCacheBackend>(
+      dir = std::make_shared<serialize::DirCacheBackend>(
           options_.cache.cache_dir, identity);
-    } else {
-      cache_backend_ = std::make_shared<serialize::InMemoryCacheBackend>();
     }
-  }
-  if (options_.cache.robust_backend) {
-    // Wrap whatever backend we ended up with (self-constructed or
-    // caller-supplied) in the retry + circuit-breaker decorator; the
-    // decorator shares ownership of the delegate.
-    robust::RetryingCacheBackend::Options ro;
-    ro.max_attempts = options_.cache.backend_retry_attempts;
-    ro.initial_backoff_sec = options_.cache.backend_retry_backoff_sec;
-    ro.breaker.failure_threshold = options_.cache.breaker_failure_threshold;
-    ro.breaker.open_sec = options_.cache.breaker_open_sec;
     cache_backend_ =
-        std::make_shared<robust::RetryingCacheBackend>(cache_backend_, ro);
+        std::make_shared<serialize::TieredCacheBackend>(std::move(dir));
   }
   // Identity-salt every key handed to the backend (see cache_key_prefix_):
   // sessions with different options sharing one backend object address
@@ -280,9 +274,8 @@ Result<Recommendation> TuningSession::DoUpdate(
       telemetry::TraceSpan span("cache.get");
       span.Annotate("partition", static_cast<uint64_t>(p));
       const auto t0 = std::chrono::steady_clock::now();
-      // Any non-OK — genuine absence or a storage failure the backend
-      // stack could not absorb — leaves the partition dirty; the session
-      // can always fall back to searching.
+      // Any non-OK — genuine absence or a storage failure — leaves the
+      // partition dirty; the session can always fall back to searching.
       Status fetched = cache_backend_->Get(cache_key_prefix_ +
                                                plan.group_keys[p],
                                            &hit);
@@ -308,8 +301,8 @@ Result<Recommendation> TuningSession::DoUpdate(
     if ((hit.needs_rehydration || options_.auto_calibrate_cm) &&
         !RehydratePartitionOutcome(hit.result, plan.groups[p].size(),
                                    *cost_model_)) {
-      // Drop any decorator-tier copy of the poisoned entry first, so a
-      // caching front (TieredCacheBackend) cannot keep serving it.
+      // Drop the LRU copy of the poisoned entry first, so the cache
+      // cannot keep serving it.
       (void)cache_backend_->Invalidate(cache_key_prefix_ +
                                        plan.group_keys[p]);
       cache_backend_->NoteRehydrationRejected();
@@ -378,13 +371,11 @@ Result<Recommendation> TuningSession::DoUpdate(
             std::chrono::steady_clock::now() - t0)
             .count()));
   }
-  // Bound the in-memory cache (persistent backends ignore the hint): keep
-  // the most recently used max(lru_floor, lru_per_partition x partitions)
-  // entries, so recently retired sub-workloads remain instantly
-  // re-addable while a drifting log can not grow the session unboundedly.
+  // Bound the in-memory LRU (persistent stores ignore the hint): recently
+  // retired sub-workloads remain instantly re-addable while a drifting log
+  // can not grow the session unboundedly.
   cache_backend_->Trim(
-      std::max(options_.cache.lru_floor,
-               options_.cache.lru_per_partition * plan.groups.size()));
+      std::max(kCacheFloor, kCachePerPartition * plan.groups.size()));
 
   // Close the root before harvesting so the exported tree is balanced, then
   // publish: the recommendation carries the bundle, and TelemetrySnapshot

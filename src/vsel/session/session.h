@@ -161,12 +161,14 @@ class TuningSession {
   /// fixed for the session's lifetime (they shape every cached result).
   ///
   /// `cache_backend` chooses where completed partition outcomes live (see
-  /// vsel/serialize/partition_cache.h). Null picks from the options: a
-  /// DirCacheBackend rooted at options.cache.cache_dir when that is set —
-  /// outcomes then persist across process restarts, and any number of
-  /// concurrent sessions (this process or others) may share the directory —
-  /// otherwise the historical in-process LRU backend. Backend-served
-  /// entries that crossed a process boundary are *rehydrated* before use:
+  /// vsel/serialize/tiered_cache.h). Null builds the session's own LRU of
+  /// decoded entries (TieredCacheBackend), over a DirCacheBackend rooted at
+  /// options.cache.cache_dir when that is set — outcomes then persist
+  /// across process restarts, and any number of concurrent sessions (this
+  /// process or others) may share the directory — and over no store
+  /// otherwise. The session's own Puts are served from the LRU on later
+  /// updates without touching the directory. Entries that crossed a
+  /// process boundary are *rehydrated* before use:
   /// their views re-interned through the session's live CostModel and the
   /// state re-costed, and an entry whose recomputed cost does not match the
   /// persisted one (statistics or weight drift the identity tag missed) is
@@ -219,10 +221,10 @@ class TuningSession {
     return workload_;
   }
 
-  /// Number of entries the backend currently holds. For the in-memory
-  /// backend these are exactly this session's clean candidates; for a
-  /// directory backend this counts the entry files under the root, *any*
-  /// identity — a shared directory includes other configurations' entries.
+  /// Number of entries the backend currently holds. Without a directory
+  /// these are exactly this session's clean candidates; with one this
+  /// counts the entry files under the root, *any* identity — a shared
+  /// directory includes other configurations' entries.
   size_t cached_partitions() const { return cache_backend_->Size(); }
 
   /// Drops every cached partition result (the next update re-searches all
@@ -265,8 +267,8 @@ class TuningSession {
   bool calibrated_ = false;
   /// Canonical workload key -> completed search outcome storage (see the
   /// constructor comment). After every update the backend is trimmed to
-  /// max(cache.lru_floor, cache.lru_per_partition x current partitions)
-  /// entries (in-memory backends evict LRU; persistent ones ignore it).
+  /// max(64, 4 x current partitions) entries (the LRU evicts its least
+  /// recently used entries; a directory store ignores the hint).
   std::shared_ptr<serialize::PartitionCacheBackend> cache_backend_;
   /// The session's CacheIdentity bytes, prepended to every canonical key
   /// before it reaches the backend: canonical workload keys are

@@ -75,36 +75,6 @@ Status TuningConfig::Validate() const {
                "must be >= 0 seconds (0 = no watchdog)");
   }
 
-  // Session cache: LRU knobs are floors (zero would evict everything the
-  // update just produced), and the robust-backend knobs must form a
-  // workable retry/breaker loop when robust_backend is on.
-  if (cache.lru_floor == 0) {
-    return Bad("cache.lru_floor", "must be >= 1 entry (it is a floor)");
-  }
-  if (cache.lru_per_partition == 0) {
-    return Bad("cache.lru_per_partition",
-               "must be >= 1 entry per partition");
-  }
-  if (cache.robust_backend && cache.backend_retry_attempts == 0) {
-    return Bad("cache.backend_retry_attempts",
-               "must be >= 1 when cache.robust_backend is set "
-               "(conflicting cache knobs: a retrying backend that never "
-               "attempts)");
-  }
-  if (NonFinite(cache.backend_retry_backoff_sec) ||
-      cache.backend_retry_backoff_sec < 0) {
-    return Bad("cache.backend_retry_backoff_sec", "must be >= 0 seconds");
-  }
-  if (cache.robust_backend && cache.breaker_failure_threshold == 0) {
-    return Bad("cache.breaker_failure_threshold",
-               "must be >= 1 when cache.robust_backend is set "
-               "(conflicting cache knobs: a breaker that opens before the "
-               "first failure would skip every operation)");
-  }
-  if (NonFinite(cache.breaker_open_sec) || cache.breaker_open_sec < 0) {
-    return Bad("cache.breaker_open_sec", "must be >= 0 seconds");
-  }
-
   // Partitioning: a cap without partitioning enabled is a contradiction —
   // reject instead of silently ignoring the knob.
   if (!partition.enabled && partition.max_partitions != 0) {

@@ -518,8 +518,7 @@ std::shared_ptr<serialize::PartitionCacheBackend> Daemon::BackendFor(
   if (it != backends_.end()) return it->second;
   auto dir = std::make_shared<serialize::DirCacheBackend>(options_.cache_dir,
                                                           identity);
-  auto tiered = std::make_shared<serialize::TieredCacheBackend>(
-      std::move(dir), options_.tiered_front_capacity);
+  auto tiered = std::make_shared<serialize::TieredCacheBackend>(std::move(dir));
   backends_.emplace(std::move(key), tiered);
   return tiered;
 }

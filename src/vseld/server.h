@@ -55,12 +55,10 @@ struct DaemonOptions {
   size_t max_connections = 64;
   int listen_backlog = 128;
   QuotaOptions quota;
-  /// When set, sessions get a shared two-tier partition-result cache: one
-  /// TieredCacheBackend (in-memory LRU front) per cache identity over a
-  /// DirCacheBackend rooted here. Empty: each session keeps its private
-  /// in-memory backend.
+  /// When set, sessions share one partition-result cache per cache
+  /// identity: a TieredCacheBackend (in-memory LRU) over a DirCacheBackend
+  /// rooted here. Empty: each session keeps its private in-memory LRU.
   std::string cache_dir;
-  size_t tiered_front_capacity = 256;
   /// Tick of the subscribe-progress streaming loop (how often a quiet
   /// stream re-checks for update completion / drain).
   double subscribe_tick_sec = 0.05;

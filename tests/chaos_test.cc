@@ -38,6 +38,7 @@
 #include "rdf/statistics.h"
 #include "test_util.h"
 #include "vsel/selector.h"
+#include "vsel/serialize/tiered_cache.h"
 #include "vsel/session/session.h"
 #include "workload/generator.h"
 
@@ -46,6 +47,8 @@ namespace {
 
 namespace fs = std::filesystem;
 using rdfviews::testing::MustParse;
+using serialize::PartitionCacheBackend;
+using serialize::TieredCacheBackend;
 
 /// The chaos seed: CHAOS_SEED from the environment (any uint64, 0x-prefix
 /// accepted), else a fixed default. Echoed once so a failing CI run names
@@ -117,6 +120,16 @@ struct ChaosFixture : public ::testing::Test {
     return options;
   }
 
+  /// Fills `options.cache.cache_dir` fault-free with the entries of a full
+  /// tune, so a later session's lookups read files that exist: the read
+  /// fault sites fire on real entries and successful reads are rehydrated.
+  void PrimeCacheDir(const TuningConfig& options) const {
+    EXPECT_FALSE(fault::armed()) << "priming must run fault-free";
+    TuningSession primer(&store, &dict, options);
+    Result<Recommendation> rec = primer.Update(All());
+    EXPECT_TRUE(rec.ok()) << rec.status().ToString();
+  }
+
   Recommendation Scratch(const std::vector<cq::ConjunctiveQuery>& workload,
                          const TuningConfig& options) const {
     EXPECT_FALSE(fault::armed()) << "scratch reference must run fault-free";
@@ -150,14 +163,11 @@ TEST_F(ChaosSweepTest, EverySiteEveryActionIsContainedAndRecoverable) {
       SCOPED_TRACE(std::string("site=") + site + " action=" +
                    std::to_string(static_cast<int>(action)));
       TuningConfig options = Options(/*max_attempts=*/2);
-      // Parallel partitions over a pool (kPoolTask), a persistent robust
-      // backend (the dircache sites): every site is on some code path.
+      // Parallel partitions over a pool (kPoolTask), a cache directory (the
+      // dircache sites): every site is on some code path.
       options.limits.num_threads = 2;
       options.cache.cache_dir =
           TempCacheDir("chaos_sweep_" + std::to_string(combo));
-      options.cache.robust_backend = true;
-      options.cache.backend_retry_backoff_sec = 0.0005;
-      options.cache.breaker_open_sec = 0.01;
       TuningSession session(&store, &dict, options);
 
       fault::SiteSpec spec;
@@ -204,9 +214,8 @@ TEST_F(ChaosSweepTest, RandomizedMultiSiteChaosConvergesAfterDisarm) {
   TuningConfig options = Options(/*max_attempts=*/4);
   options.limits.num_threads = 2;
   options.cache.cache_dir = TempCacheDir("chaos_multi");
-  options.cache.robust_backend = true;
-  options.cache.backend_retry_backoff_sec = 0.0005;
-  options.cache.breaker_open_sec = 0.01;
+  // Both faulty updates look up partitions whose entries are on disk.
+  PrimeCacheDir(options);
   TuningSession session(&store, &dict, options);
 
   fault::FaultPlan plan;
@@ -441,14 +450,19 @@ TEST_F(ChaosRetryTest, TransientFaultsWithRetryConvergeExactly) {
 
 TEST_F(ChaosRetryTest, CacheLayerFaultsAreCorrectnessNeutral) {
   // Randomized storage-layer chaos (seeded by CHAOS_SEED): every dircache
-  // site flaky at p = 0.5 behind the retrying backend. Cache faults may
-  // cost wasted searches — never a different recommendation.
+  // site flaky at p = 0.5, with no retry layer in front of the directory.
+  // Cache faults may cost wasted searches — never a different
+  // recommendation.
   TuningConfig options = Options();
   options.cache.cache_dir = TempCacheDir("chaos_cache_neutral");
-  options.cache.robust_backend = true;
-  options.cache.backend_retry_backoff_sec = 0.0005;
-  options.cache.breaker_open_sec = 0.01;
+  // The primed directory holds the final entries of families b, c, d and
+  // the grown family a: the first update reads b and c from disk, the
+  // second a and d (only family a before q5 was never written).
+  PrimeCacheDir(options);
   TuningSession session(&store, &dict, options);
+  const auto& tiered =
+      dynamic_cast<const TieredCacheBackend&>(session.cache_backend());
+  ASSERT_NE(tiered.store(), nullptr);
 
   fault::FaultPlan plan;
   for (const char* site :
@@ -466,6 +480,17 @@ TEST_F(ChaosRetryTest, CacheLayerFaultsAreCorrectnessNeutral) {
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_EQ(second->pipeline.partitions_failed, 0u);
   fault::Disarm();
+
+  // The read path ran on existing entries: each of the four lookups of an
+  // entry on disk either failed with an I/O error (dircache.get.open or
+  // dircache.get.read fired) or was read back and rehydrated.
+  const PartitionCacheBackend::Counters dir = tiered.store()->counters();
+  EXPECT_GE(dir.hits + dir.io_failures, 4u);
+  if (dir.hits > 0) {
+    EXPECT_GT(first->pipeline.partitions_rehydrated +
+                  second->pipeline.partitions_rehydrated,
+              0u);
+  }
 
   ExpectSameRecommendation(*first, Scratch(initial, options));
   ExpectSameRecommendation(*second, Scratch(All(), options));

@@ -7,7 +7,10 @@
 //    fingerprint-keyed seen-set (insert/reopen semantics under contention)
 //    and the sharded view interner (one consistent value per key, counter
 //    accounting);
+//  - budget accounting: no work after a pre-run stop, and elapsed_sec
+//    covering the engine's teardown;
 //  - the thread pool and the serial fallback of the [21] competitors.
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <unordered_set>
@@ -16,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "common/stop_token.h"
+#include "common/timer.h"
 #include "common/telemetry/metrics.h"
 #include "common/thread_pool.h"
 #include "rdf/statistics.h"
@@ -148,6 +152,41 @@ TEST(ParallelBudgetTest, StopBeforeRunAppliesAndEnumeratesNothing) {
     EXPECT_EQ(r->stats.transitions_applied, 0u) << StrategyName(kind);
     EXPECT_EQ(r->stats.explored, 0u) << StrategyName(kind);
     EXPECT_EQ(enumerated->Value(), enumerated_before) << StrategyName(kind);
+  }
+}
+
+TEST(ParallelBudgetTest, ElapsedCoversEngineTeardown) {
+  // stats.elapsed_sec is stamped after the engine's context, seen-set,
+  // frontier and arena are destroyed, so a caller timing RunSearch sees
+  // (almost) exactly the reported figure. A state cap, not a clock, sizes
+  // the run.
+  rdf::Dictionary dict;
+  rdf::TripleStore store = RandomStore(&dict, 80, 10, 4, 402);
+  Rng rng(402);
+  std::vector<cq::ConjunctiveQuery> workload;
+  for (int i = 0; i < 3; ++i) {
+    workload.push_back(RandomQuery(store, 3, 2, rng.raw()));
+    workload.back().set_name("q" + std::to_string(i));
+  }
+  rdf::Statistics stats(&store);
+  for (StrategyKind kind :
+       {StrategyKind::kExStr, StrategyKind::kGstr, StrategyKind::kDfs}) {
+    for (size_t threads : {size_t{1}, size_t{2}}) {
+      CostModel model(&stats, CostWeights{});
+      State s0 = *MakeInitialState(workload);
+      SearchLimits limits;
+      limits.time_budget_sec = 0;
+      limits.max_states = 3000;
+      limits.num_threads = threads;
+      const Stopwatch watch;
+      auto r = RunSearch(kind, s0, model, HeuristicOptions{}, limits);
+      const double wall = watch.ElapsedSeconds();
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_LE(r->stats.elapsed_sec, wall);
+      EXPECT_LE(wall - r->stats.elapsed_sec, std::max(0.005, 0.05 * wall))
+          << StrategyName(kind) << " threads=" << threads << " wall=" << wall
+          << " elapsed=" << r->stats.elapsed_sec;
+    }
   }
 }
 

@@ -1,11 +1,10 @@
 // Unit tests for the robustness layer: the deterministic fault injector
 // (src/common/fault.h), retry backoff and stop-aware sleeps
-// (src/vsel/robust/retry.h), the deadline watchdog, the circuit breaker
-// (injected clock, no real waiting), the RetryingCacheBackend decorator
-// over a scripted flaky delegate, the DirCacheBackend io-failure signal
-// and temp-file reaping, and ThreadPool task-death containment. The
-// end-to-end failure semantics (degraded recommendations, retry
-// convergence, session integrity under faults) live in chaos_test.cc.
+// (src/vsel/robust/retry.h), the deadline watchdog, the DirCacheBackend
+// io-failure signal and temp-file reaping, and ThreadPool task-death
+// containment. The end-to-end failure semantics (degraded recommendations,
+// retry convergence, session integrity under faults) live in
+// chaos_test.cc.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,7 +13,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <new>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -24,9 +22,7 @@
 #include "common/status.h"
 #include "common/stop_token.h"
 #include "common/thread_pool.h"
-#include "vsel/robust/circuit_breaker.h"
 #include "vsel/robust/retry.h"
-#include "vsel/robust/retrying_cache_backend.h"
 #include "vsel/robust/watchdog.h"
 #include "vsel/serialize/partition_cache.h"
 
@@ -301,220 +297,6 @@ TEST(WatchdogTest, InterleavedEntriesFireAndDisarmIndependently) {
   EXPECT_EQ(dog.fired(), 1u);
 }
 
-// ---- Circuit breaker -------------------------------------------------------
-
-/// Breaker whose clock the test advances by hand: open windows elapse
-/// instantly, so the state machine is exercised without real sleeps.
-struct SteppedBreaker {
-  std::chrono::steady_clock::time_point now =
-      std::chrono::steady_clock::time_point{} + std::chrono::hours(1);
-  CircuitBreaker breaker;
-
-  explicit SteppedBreaker(CircuitBreaker::Options options)
-      : breaker(options, [this] { return now; }) {}
-
-  void Advance(double sec) {
-    now += std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-        std::chrono::duration<double>(sec));
-  }
-};
-
-CircuitBreaker::Options BreakerOptions(size_t threshold, double open_sec) {
-  CircuitBreaker::Options options;
-  options.failure_threshold = threshold;
-  options.open_sec = open_sec;
-  return options;
-}
-
-TEST(CircuitBreakerTest, OpensOnConsecutiveFailuresOnly) {
-  SteppedBreaker sb(BreakerOptions(3, 10.0));
-  EXPECT_EQ(sb.breaker.state(), CircuitBreaker::State::kClosed);
-  EXPECT_TRUE(sb.breaker.Allow());
-  sb.breaker.RecordFailure();
-  sb.breaker.RecordFailure();
-  // A success resets the consecutive run: two more failures stay closed.
-  sb.breaker.RecordSuccess();
-  sb.breaker.RecordFailure();
-  sb.breaker.RecordFailure();
-  EXPECT_EQ(sb.breaker.state(), CircuitBreaker::State::kClosed);
-  sb.breaker.RecordFailure();
-  EXPECT_EQ(sb.breaker.state(), CircuitBreaker::State::kOpen);
-  EXPECT_EQ(sb.breaker.opens(), 1u);
-  EXPECT_FALSE(sb.breaker.Allow());
-  EXPECT_FALSE(sb.breaker.Allow());
-  EXPECT_EQ(sb.breaker.skips(), 2u);
-}
-
-TEST(CircuitBreakerTest, HalfOpenAdmitsOneProbeAndProbeOutcomeDecides) {
-  SteppedBreaker sb(BreakerOptions(2, 10.0));
-  sb.breaker.RecordFailure();
-  sb.breaker.RecordFailure();
-  ASSERT_EQ(sb.breaker.state(), CircuitBreaker::State::kOpen);
-
-  sb.Advance(11.0);
-  EXPECT_EQ(sb.breaker.state(), CircuitBreaker::State::kHalfOpen);
-  EXPECT_TRUE(sb.breaker.Allow());   // the probe
-  EXPECT_FALSE(sb.breaker.Allow());  // probe in flight: everyone else waits
-  // A failing probe re-opens for a fresh window.
-  sb.breaker.RecordFailure();
-  EXPECT_EQ(sb.breaker.state(), CircuitBreaker::State::kOpen);
-  EXPECT_EQ(sb.breaker.opens(), 2u);
-  EXPECT_FALSE(sb.breaker.Allow());
-
-  sb.Advance(11.0);
-  EXPECT_TRUE(sb.breaker.Allow());
-  sb.breaker.RecordSuccess();
-  EXPECT_EQ(sb.breaker.state(), CircuitBreaker::State::kClosed);
-  EXPECT_TRUE(sb.breaker.Allow());
-}
-
-// ---- RetryingCacheBackend over a scripted delegate -------------------------
-
-/// A delegate whose next N Gets / Puts fail on demand: Get failures are
-/// storage failures (non-NotFound Status), so the decorator's retry logic
-/// engages; a genuine miss (no scripted failure, no entry) is NotFound.
-class FlakyBackend : public serialize::PartitionCacheBackend {
- public:
-  Status Get(const std::string& key, Fetched* out) override {
-    (void)key;
-    ++get_calls;
-    if (get_failures_remaining > 0) {
-      --get_failures_remaining;
-      return Status::Internal("scripted storage failure");
-    }
-    if (!has_entry) return Status::NotFound("no entry");
-    out->needs_rehydration = false;
-    return Status::OK();
-  }
-
-  Status Put(const std::string& key,
-             const pipeline::PartitionSearchResult& result) override {
-    (void)key;
-    (void)result;
-    ++put_calls;
-    if (put_failures_remaining > 0) {
-      --put_failures_remaining;
-      return Status::Internal("scripted storage failure");
-    }
-    has_entry = true;
-    return Status::OK();
-  }
-
-  void Clear() override { has_entry = false; }
-  size_t Size() const override { return has_entry ? 1 : 0; }
-  void NoteRehydrationRejected() override { ++rehydration_rejected; }
-  Counters counters() const override {
-    Counters c;
-    c.hits = has_entry ? 1 : 0;
-    return c;
-  }
-
-  size_t get_failures_remaining = 0;
-  size_t put_failures_remaining = 0;
-  bool has_entry = false;
-  size_t get_calls = 0;
-  size_t put_calls = 0;
-  size_t rehydration_rejected = 0;
-};
-
-RetryingCacheBackend::Options FastRetryOptions(size_t max_attempts) {
-  RetryingCacheBackend::Options options;
-  options.max_attempts = max_attempts;
-  options.initial_backoff_sec = 0.0005;
-  return options;
-}
-
-TEST(RetryingCacheBackendTest, TransientGetFailureIsRetriedToSuccess) {
-  FlakyBackend flaky;
-  flaky.has_entry = true;
-  flaky.get_failures_remaining = 2;
-  RetryingCacheBackend robust(&flaky, FastRetryOptions(3));
-  serialize::PartitionCacheBackend::Fetched fetched;
-  EXPECT_TRUE(robust.Get("k", &fetched).ok());
-  EXPECT_EQ(flaky.get_calls, 3u);
-  EXPECT_EQ(robust.counters().retries, 2u);
-  EXPECT_EQ(robust.breaker().state(), CircuitBreaker::State::kClosed);
-}
-
-TEST(RetryingCacheBackendTest, GenuineMissIsNotRetried) {
-  FlakyBackend flaky;
-  RetryingCacheBackend robust(&flaky, FastRetryOptions(3));
-  serialize::PartitionCacheBackend::Fetched fetched;
-  // NotFound — not a storage-failure code — comes straight back.
-  EXPECT_EQ(robust.Get("k", &fetched).code(), StatusCode::kNotFound);
-  EXPECT_EQ(flaky.get_calls, 1u);
-  EXPECT_EQ(robust.counters().retries, 0u);
-}
-
-TEST(RetryingCacheBackendTest, ExhaustedGetReportsTheStorageFailure) {
-  FlakyBackend flaky;
-  flaky.has_entry = true;
-  flaky.get_failures_remaining = 1000;
-  RetryingCacheBackend robust(&flaky, FastRetryOptions(2));
-  serialize::PartitionCacheBackend::Fetched fetched;
-  Status s = robust.Get("k", &fetched);
-  // The delegate's storage-failure Status surfaces, not a NotFound mask.
-  EXPECT_EQ(s.code(), StatusCode::kInternal);
-  EXPECT_EQ(flaky.get_calls, 2u);
-}
-
-TEST(RetryingCacheBackendTest, TransientPutFailureIsRetriedToSuccess) {
-  FlakyBackend flaky;
-  flaky.put_failures_remaining = 1;
-  RetryingCacheBackend robust(&flaky, FastRetryOptions(3));
-  EXPECT_TRUE(robust.Put("k", pipeline::PartitionSearchResult{}).ok());
-  EXPECT_EQ(flaky.put_calls, 2u);
-  EXPECT_EQ(robust.counters().retries, 1u);
-  EXPECT_TRUE(flaky.has_entry);
-}
-
-TEST(RetryingCacheBackendTest, ExhaustedOperationsOpenTheBreaker) {
-  FlakyBackend flaky;
-  flaky.has_entry = true;
-  flaky.get_failures_remaining = 1000;
-  RetryingCacheBackend::Options options = FastRetryOptions(2);
-  options.breaker.failure_threshold = 2;
-  options.breaker.open_sec = 60.0;
-  RetryingCacheBackend robust(&flaky, options);
-
-  // Two exhausted Gets (2 attempts each) trip the breaker...
-  serialize::PartitionCacheBackend::Fetched fetched;
-  EXPECT_FALSE(robust.Get("a", &fetched).ok());
-  EXPECT_FALSE(robust.Get("b", &fetched).ok());
-  EXPECT_EQ(flaky.get_calls, 4u);
-  EXPECT_EQ(robust.breaker().state(), CircuitBreaker::State::kOpen);
-
-  // ...after which operations are skipped outright: the delegate is not
-  // even called, and a skipped Get reports NotFound — to the session, just
-  // a counted miss.
-  EXPECT_EQ(robust.Get("c", &fetched).code(), StatusCode::kNotFound);
-  EXPECT_FALSE(robust.Put("c", pipeline::PartitionSearchResult{}).ok());
-  EXPECT_EQ(flaky.get_calls, 4u);
-  EXPECT_EQ(flaky.put_calls, 0u);
-  EXPECT_GE(robust.counters().breaker_skips, 2u);
-  EXPECT_GE(robust.counters().misses, 1u);
-}
-
-TEST(RetryingCacheBackendTest, MaintenanceCallsBypassTheBreaker) {
-  FlakyBackend flaky;
-  flaky.has_entry = true;
-  RetryingCacheBackend::Options options = FastRetryOptions(1);
-  options.breaker.failure_threshold = 1;
-  options.breaker.open_sec = 60.0;
-  RetryingCacheBackend robust(&flaky, options);
-  flaky.get_failures_remaining = 1;
-  serialize::PartitionCacheBackend::Fetched fetched;
-  EXPECT_FALSE(robust.Get("a", &fetched).ok());
-  ASSERT_EQ(robust.breaker().state(), CircuitBreaker::State::kOpen);
-
-  // Clear / Size / NoteRehydrationRejected must still reach the delegate.
-  EXPECT_EQ(robust.Size(), 1u);
-  robust.NoteRehydrationRejected();
-  EXPECT_EQ(flaky.rehydration_rejected, 1u);
-  robust.Clear();
-  EXPECT_FALSE(flaky.has_entry);
-}
-
 // ---- DirCacheBackend failure signals ---------------------------------------
 
 class DirCacheFaultTest : public FaultInjectionTest {};
@@ -528,8 +310,8 @@ TEST_F(DirCacheFaultTest, GetDistinguishesIoFailureFromGenuineMiss) {
   EXPECT_EQ(backend.Get("absent", &fetched).code(), StatusCode::kNotFound);
   EXPECT_EQ(backend.counters().io_failures, 0u);
 
-  // An injected open failure surfaces as a storage-layer Status code —
-  // exactly what a retrying decorator keys on.
+  // An injected open failure surfaces as a storage-layer Status code,
+  // counted apart from genuine misses.
   fault::SiteSpec spec;
   fault::Arm(7, {{fault::sites::kDirCacheGetOpen, spec}});
   EXPECT_EQ(backend.Get("absent", &fetched).code(), StatusCode::kInternal);

@@ -2,18 +2,19 @@
 // round-trips of expressions / queries / states / partition outcomes /
 // recommendations over randomized workloads for all four Sec. 5
 // strategies, rejection of truncated, corrupted, version-skewed,
-// foreign-identity and wrong-key blobs, the two cache backends, and
+// foreign-identity and wrong-key blobs, the directory backend, and
 // warm-starting a TuningSession from a DirCacheBackend directory in a
 // fresh "process" (a cold session object sharing nothing but the cache
 // root). The "Parallel"-named suites — concurrent sessions sharing one
-// directory, concurrent Put/Get on one backend — run under the TSan CI
-// job.
+// directory, concurrent Put/Get/Trim on one backend — run under the TSan
+// CI job.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "vsel/selector.h"
 #include "vsel/serialize/partition_cache.h"
 #include "vsel/serialize/serialize.h"
+#include "vsel/serialize/tiered_cache.h"
 #include "vsel/session/session.h"
 #include "workload/generator.h"
 
@@ -573,31 +575,6 @@ TEST(SerializeRecommendationTest, RoundTripMatchesOriginal) {
 
 // ---- Cache backends --------------------------------------------------------
 
-TEST(InMemoryCacheBackendTest, LruTrimEvictsOldestFirst) {
-  Fixture fx;
-  TuningConfig options = fx.Options(StrategyKind::kGstr);
-  SearchedPartitions searched =
-      RunPartitionSearches(fx.store, fx.dict, fx.initial, options);
-  ASSERT_FALSE(searched.results.empty());
-  const pipeline::PartitionSearchResult& sample = searched.results[0];
-
-  InMemoryCacheBackend backend;
-  backend.Put("a", sample);
-  backend.Put("b", sample);
-  backend.Put("c", sample);
-  EXPECT_EQ(backend.Size(), 3u);
-  PartitionCacheBackend::Fetched fetched;
-  // Touch "a" so "b" becomes the least recently used.
-  EXPECT_TRUE(backend.Get("a", &fetched).ok());
-  backend.Trim(2);
-  EXPECT_EQ(backend.Size(), 2u);
-  EXPECT_TRUE(backend.Get("a", &fetched).ok());
-  EXPECT_EQ(backend.Get("b", &fetched).code(), StatusCode::kNotFound);
-  EXPECT_TRUE(backend.Get("c", &fetched).ok());
-  backend.Clear();
-  EXPECT_EQ(backend.Size(), 0u);
-}
-
 TEST(DirCacheBackendTest, PutGetRoundTripAndBestEffortMisses) {
   Fixture fx;
   TuningConfig options = fx.Options(StrategyKind::kDfs);
@@ -747,7 +724,7 @@ TEST(WarmStartTest, SharedInMemoryBackendIsolatesConfigurations) {
   // backend *object* from consuming each other's outcomes (a DFS optimum
   // is not a GSTR optimum).
   Fixture fx;
-  auto backend = std::make_shared<InMemoryCacheBackend>();
+  auto backend = std::make_shared<TieredCacheBackend>();
   TuningConfig dfs = fx.Options(StrategyKind::kDfs);
   TuningSession a(&fx.store, &fx.dict, dfs, nullptr, backend);
   ASSERT_TRUE(a.Update(fx.initial).ok());
@@ -892,33 +869,59 @@ TEST(SerializeParallelTest, ConcurrentPutGetOnOneBackend) {
       RunPartitionSearches(fx.store, fx.dict, fx.initial, options);
   ASSERT_GE(searched.results.size(), 2u);
   CacheIdentity identity = ComputeCacheIdentity(fx.store, options);
-  DirCacheBackend backend(TempCacheDir("parallel_put_get"), identity);
 
-  constexpr int kThreads = 4;
-  constexpr int kRounds = 25;
-  std::atomic<int> bad{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int round = 0; round < kRounds; ++round) {
-        size_t p = static_cast<size_t>((t + round) % 2);
-        const std::string& key = searched.plan.group_keys[p];
-        backend.Put(key, searched.results[p]);
-        PartitionCacheBackend::Fetched hit;
-        // A racing rename may momentarily hide the file; what is never
-        // allowed is serving bytes that decode to the wrong outcome.
-        if (backend.Get(key, &hit).ok() &&
-            hit.result.search.best.Signature() !=
-                searched.results[p].search.best.Signature()) {
-          bad.fetch_add(1);
-        }
+  // The bare directory, the session's LRU over it, and the LRU alone. A
+  // concurrent trimmer evicts under the readers, as sibling sessions of
+  // one daemon trim their shared cache after every update.
+  enum class Kind { kDir, kLruOverDir, kLru };
+  for (const Kind kind : {Kind::kDir, Kind::kLruOverDir, Kind::kLru}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    std::shared_ptr<PartitionCacheBackend> backend;
+    if (kind == Kind::kLru) {
+      backend = std::make_shared<TieredCacheBackend>();
+    } else {
+      auto dir = std::make_shared<DirCacheBackend>(
+          TempCacheDir("parallel_put_get"), identity);
+      backend = kind == Kind::kDir
+                    ? std::shared_ptr<PartitionCacheBackend>(dir)
+                    : std::make_shared<TieredCacheBackend>(dir);
+    }
+
+    constexpr int kThreads = 4;
+    constexpr int kRounds = 25;
+    std::atomic<int> bad{0};
+    std::atomic<bool> done{false};
+    std::thread trimmer([&] {
+      while (!done.load(std::memory_order_acquire)) {
+        backend->Trim(1);
+        std::this_thread::yield();
       }
     });
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (int round = 0; round < kRounds; ++round) {
+          size_t p = static_cast<size_t>((t + round) % 2);
+          const std::string& key = searched.plan.group_keys[p];
+          backend->Put(key, searched.results[p]);
+          PartitionCacheBackend::Fetched hit;
+          // A racing rename or trim may momentarily hide the entry; what
+          // is never allowed is serving an outcome filed under another key.
+          if (backend->Get(key, &hit).ok() &&
+              hit.result.search.best.Signature() !=
+                  searched.results[p].search.best.Signature()) {
+            bad.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    done.store(true, std::memory_order_release);
+    trimmer.join();
+    EXPECT_EQ(bad.load(), 0);
+    EXPECT_EQ(backend->counters().store_failures, 0u);
   }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(bad.load(), 0);
-  EXPECT_EQ(backend.counters().store_failures, 0u);
 }
 
 }  // namespace

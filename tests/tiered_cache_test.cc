@@ -1,7 +1,8 @@
-// Tests for the two-tier partition cache (TieredCacheBackend): front-hit
-// fast path, write-through coherence, back-promotion rehydration flags,
-// Invalidate's both-tier eviction, and sessions sharing one tiered stack
-// the way the vseld daemon wires them.
+// Tests for the session's partition cache (TieredCacheBackend): the LRU
+// fast path, LRU trimming with and without a durable store, write-through
+// coherence, store-promotion rehydration flags, Invalidate's both-tier
+// eviction, a directory-backed session serving its own Puts from memory,
+// and sessions sharing one cache the way the vseld daemon wires them.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -77,7 +78,7 @@ TEST(TieredCacheBackendTest, PutServesFromFrontWithoutRehydration) {
   const std::string dir = TempCacheDir("tiered_front");
   auto dir_backend = std::make_shared<DirCacheBackend>(dir, fx.identity);
   DirCacheBackend* back = dir_backend.get();
-  TieredCacheBackend tiered(dir_backend, 8);
+  TieredCacheBackend tiered(dir_backend);
 
   const std::string& key = fx.plan.group_keys[0];
   EXPECT_FALSE(Has(tiered, key));
@@ -104,7 +105,7 @@ TEST(TieredCacheBackendTest, BackHitIsPromotedButKeepsRehydrationFlag) {
   EXPECT_TRUE(DirCacheBackend(dir, fx.identity).Put(key, fx.results[0]).ok());
 
   TieredCacheBackend tiered(
-      std::make_shared<DirCacheBackend>(dir, fx.identity), 8);
+      std::make_shared<DirCacheBackend>(dir, fx.identity));
   PartitionCacheBackend::Fetched first;
   ASSERT_TRUE(tiered.Get(key, &first).ok());
   // Crossed a process boundary: the session must still re-validate it.
@@ -122,7 +123,7 @@ TEST(TieredCacheBackendTest, InvalidateEvictsFrontAndForwardsToBack) {
   const std::string dir = TempCacheDir("tiered_invalidate");
   auto dir_backend = std::make_shared<DirCacheBackend>(dir, fx.identity);
   DirCacheBackend* back = dir_backend.get();
-  TieredCacheBackend tiered(dir_backend, 8);
+  TieredCacheBackend tiered(dir_backend);
 
   const std::string& key = fx.plan.group_keys[0];
   EXPECT_TRUE(tiered.Put(key, fx.results[0]).ok());
@@ -134,49 +135,98 @@ TEST(TieredCacheBackendTest, InvalidateEvictsFrontAndForwardsToBack) {
   EXPECT_FALSE(Has(tiered, key));
 }
 
-TEST(TieredCacheBackendTest, LruFrontEvictsOldestAtCapacity) {
-  Fixture fx;
-  auto back = std::make_shared<InMemoryCacheBackend>();
-  TieredCacheBackend tiered(back, 2);
+// Trim is the LRU's only bound. Without a store an evicted entry is gone;
+// over a directory it still hits, through the store.
+void CheckLruTrimEvictsOldest(const Fixture& fx, bool with_store) {
+  std::shared_ptr<DirCacheBackend> store;
+  if (with_store) {
+    store = std::make_shared<DirCacheBackend>(TempCacheDir("tiered_lru"),
+                                              fx.identity);
+  }
+  TieredCacheBackend tiered(store);
   tiered.Put("a", fx.results[0]);
   tiered.Put("b", fx.results[0]);
-  ASSERT_TRUE(Has(tiered, "a"));   // "b" is now LRU
-  tiered.Put("c", fx.results[0]);  // evicts "b" from the front
+  tiered.Put("c", fx.results[0]);
+  EXPECT_EQ(tiered.FrontSize(), 3u);
+  ASSERT_TRUE(Has(tiered, "a"));  // "b" is now the least recently used
+  tiered.Trim(2);
   EXPECT_EQ(tiered.FrontSize(), 2u);
-  // "b" still *hits* — through the back tier, with a promotion.
+  EXPECT_TRUE(Has(tiered, "a"));
+  EXPECT_TRUE(Has(tiered, "c"));
   const uint64_t promotions = tiered.BackPromotions();
-  ASSERT_TRUE(Has(tiered, "b"));
-  EXPECT_EQ(tiered.BackPromotions(), promotions + 1);
-  EXPECT_EQ(back->Size(), 3u);  // the authoritative population
-  EXPECT_EQ(tiered.Size(), 3u);
+  PartitionCacheBackend::Fetched fetched;
+  if (with_store) {
+    ASSERT_TRUE(tiered.Get("b", &fetched).ok());
+    EXPECT_EQ(tiered.BackPromotions(), promotions + 1);
+    EXPECT_EQ(store->Size(), 3u);  // the durable population
+    EXPECT_EQ(tiered.Size(), 3u);
+  } else {
+    EXPECT_EQ(tiered.Get("b", &fetched).code(), StatusCode::kNotFound);
+    EXPECT_EQ(tiered.BackPromotions(), promotions);
+    EXPECT_EQ(tiered.Size(), 2u);
+  }
+  tiered.Clear();
+  EXPECT_EQ(tiered.Size(), 0u);
+}
+
+TEST(TieredCacheBackendTest, StorelessLruTrimEvictsOldestFirst) {
+  Fixture fx;
+  CheckLruTrimEvictsOldest(fx, /*with_store=*/false);
+}
+
+TEST(TieredCacheBackendTest, LruFrontEvictsOldestAtCapacity) {
+  Fixture fx;
+  CheckLruTrimEvictsOldest(fx, /*with_store=*/true);
 }
 
 TEST(TieredCacheBackendTest, ClearAndTrimReachBothTiers) {
   Fixture fx;
-  auto back = std::make_shared<InMemoryCacheBackend>();
-  TieredCacheBackend tiered(back, 8);
+  const std::string dir = TempCacheDir("tiered_clear_trim");
+  auto store = std::make_shared<DirCacheBackend>(dir, fx.identity);
+  TieredCacheBackend tiered(store);
   tiered.Put("a", fx.results[0]);
   tiered.Put("b", fx.results[0]);
   tiered.Put("c", fx.results[0]);
   tiered.Trim(1);
-  EXPECT_LE(tiered.FrontSize(), 1u);
-  EXPECT_EQ(back->Size(), 1u);
+  EXPECT_EQ(tiered.FrontSize(), 1u);
+  // The directory owns its own capacity: the hint reaches it and is
+  // ignored there.
+  EXPECT_EQ(store->Size(), 3u);
   tiered.Clear();
   EXPECT_EQ(tiered.FrontSize(), 0u);
-  EXPECT_EQ(back->Size(), 0u);
+  EXPECT_EQ(store->Size(), 0u);
   EXPECT_EQ(tiered.Size(), 0u);
 }
 
-TEST(TieredCacheBackendTest, ZeroCapacityFrontIsPassthrough) {
+TEST(TieredCacheBackendTest, DirBackedSessionServesItsOwnPutsFromMemory) {
+  // A session with a cache directory keeps what it searched in its LRU:
+  // later updates reuse those entries without reading or re-costing them.
   Fixture fx;
-  auto back = std::make_shared<InMemoryCacheBackend>();
-  TieredCacheBackend tiered(back, 0);
-  const std::string& key = fx.plan.group_keys[0];
-  tiered.Put(key, fx.results[0]);
-  EXPECT_EQ(tiered.FrontSize(), 0u);
-  EXPECT_EQ(back->Size(), 1u);
-  ASSERT_TRUE(Has(tiered, key));
-  EXPECT_EQ(tiered.FrontHits(), 0u);
+  TuningConfig options = fx.options;
+  options.cache.cache_dir = TempCacheDir("tiered_own_puts");
+  TuningSession session(&fx.store, &fx.dict, options);
+  const auto& tiered =
+      dynamic_cast<const TieredCacheBackend&>(session.cache_backend());
+  ASSERT_NE(tiered.store(), nullptr);
+  auto store_gets = [&] {
+    const PartitionCacheBackend::Counters c = tiered.store()->counters();
+    return c.hits + c.misses;
+  };
+
+  Result<Recommendation> first = session.Update(fx.workload);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_EQ(first->pipeline.partitions_searched,
+            first->pipeline.num_partitions);
+  const uint64_t gets_after_first = store_gets();
+
+  Result<Recommendation> second = session.Recommend();
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(second->pipeline.partitions_searched, 0u);
+  EXPECT_EQ(second->pipeline.partitions_reused,
+            second->pipeline.num_partitions);
+  EXPECT_EQ(second->pipeline.partitions_rehydrated, 0u);
+  EXPECT_EQ(store_gets(), gets_after_first);
+  EXPECT_EQ(second->stats.best_cost, first->stats.best_cost);
 }
 
 TEST(TieredCacheBackendTest, SessionsShareOneTieredStack) {
@@ -187,7 +237,7 @@ TEST(TieredCacheBackendTest, SessionsShareOneTieredStack) {
   Fixture fx;
   const std::string dir = TempCacheDir("tiered_sessions");
   auto tiered = std::make_shared<TieredCacheBackend>(
-      std::make_shared<DirCacheBackend>(dir, fx.identity), 32);
+      std::make_shared<DirCacheBackend>(dir, fx.identity));
 
   TuningSession first(&fx.store, &fx.dict, fx.options, nullptr, tiered);
   Result<Recommendation> rec1 = first.Update(fx.workload);

@@ -114,41 +114,6 @@ TEST(TuningConfigValidateTest, RejectsBadRetryKnobs) {
   }
 }
 
-TEST(TuningConfigValidateTest, RejectsBadCacheKnobs) {
-  {
-    TuningConfig c;
-    c.cache.lru_floor = 0;
-    ExpectRejects(c, "cache.lru_floor");
-  }
-  {
-    TuningConfig c;
-    c.cache.lru_per_partition = 0;
-    ExpectRejects(c, "cache.lru_per_partition");
-  }
-  {
-    TuningConfig c;
-    c.cache.robust_backend = true;
-    c.cache.backend_retry_attempts = 0;
-    ExpectRejects(c, "cache.backend_retry_attempts");
-  }
-  {
-    TuningConfig c;
-    c.cache.backend_retry_backoff_sec = -0.5;
-    ExpectRejects(c, "cache.backend_retry_backoff_sec");
-  }
-  {
-    TuningConfig c;
-    c.cache.robust_backend = true;
-    c.cache.breaker_failure_threshold = 0;
-    ExpectRejects(c, "cache.breaker_failure_threshold");
-  }
-  {
-    TuningConfig c;
-    c.cache.breaker_open_sec = -1;
-    ExpectRejects(c, "cache.breaker_open_sec");
-  }
-}
-
 TEST(TuningConfigValidateTest, RejectsPartitionCapWithoutPartitioning) {
   TuningConfig c;
   c.partition.enabled = false;
